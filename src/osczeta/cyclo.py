@@ -37,6 +37,13 @@ def _degree(m: int) -> int:
     return len(_min_poly_coeffs(m)) - 1
 
 
+@lru_cache(maxsize=None)
+def _trace_weight(m: int, k: int) -> Fraction:
+    """(1/phi(m)) Tr(zeta_m^k) = mu(m/g) / phi(m/g) with g = gcd(k, m)."""
+    d = m // math.gcd(k, m)
+    return Fraction(int(sympy.mobius(d)), _degree(d))
+
+
 def _reduce(vec: list, m: int) -> tuple:
     """Reduce a coefficient list (powers of zeta_m, constant first) modulo
     the cyclotomic polynomial; return exactly phi(m) coefficients."""
@@ -251,9 +258,10 @@ class CycloNumber:
         return a.coeffs == b.coeffs
 
     def __hash__(self):
-        if self.is_rational():
-            return hash(self.coeffs[0])
-        return hash((self.m, self.coeffs))
+        # the normalized trace (1/phi(m)) Tr(x) does not depend on the
+        # conductor x is written in, and equals x when x is rational
+        return hash(sum(c * _trace_weight(self.m, i)
+                        for i, c in enumerate(self.coeffs) if c))
 
     # -- output --------------------------------------------------------------
 
@@ -300,10 +308,6 @@ class CycloNumber:
 # --------------------------------------------------------------------------
 # Named constructions
 # --------------------------------------------------------------------------
-
-ZERO = CycloNumber.from_rational(0)
-ONE = CycloNumber.from_rational(1)
-
 
 def rational(q) -> CycloNumber:
     return CycloNumber.from_rational(Fraction(q))

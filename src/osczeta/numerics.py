@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
-from mpmath import mpf, mpc
+from mpmath import mpf
 
 from .errors import (
     DivergentSeriesError,
@@ -123,8 +123,8 @@ def airy_taylor_coefficient(n: int, dps: int = DEFAULT_DPS):
     return rounded(val, dps)
 
 
-def _airy_taylor(x, derivative: int, dps: int):
-    """Ai / Ai' by the power series about 0 (valid everywhere; entire)."""
+def _airy_taylor(x, dps: int):
+    """(Ai, Ai') from one pass of the power series about 0 (entire)."""
     xi = mpf(2) / 3 * abs(mpmath.mpf(x)) ** mpf(1.5)
     guard = 20 + int(2 * xi * 0.4343)  # cancellation grows like exp(2 xi)
     with working(dps, guard):
@@ -160,11 +160,9 @@ def _airy_taylor(x, derivative: int, dps: int):
             biggest = max(biggest, abs(tf), abs(tg))
             if abs(tf) < tol * biggest and abs(tg) < tol * biggest and 3 * k > 3 * abs(x) ** mpf(1.5) + 9:
                 break
-        if derivative == 0:
-            val = ai0 * f + aip0 * g
-        else:
-            val = ai0 * fp + aip0 * gp
-    return rounded(val, dps)
+        val = ai0 * f + aip0 * g
+        der = ai0 * fp + aip0 * gp
+    return rounded(val, dps), rounded(der, dps)
 
 
 def _asymptotic_u_terms(max_terms: int):
@@ -253,17 +251,21 @@ def _airy_asymptotic(x, derivative: int, dps: int):
 AIRY_SWITCHOVER = 6.0
 
 
+def _airy_pair(x, dps: int) -> tuple:
+    """(Ai(x), Ai'(x)): Taylor near the origin, asymptotic beyond it."""
+    # smallest |x| at which the asymptotic series can reach ~dps digits
+    xi_min = (dps + 5) * math.log(10) / 2
+    x_star = (1.5 * xi_min) ** (2.0 / 3.0)
+    if abs(float(x)) >= max(AIRY_SWITCHOVER, x_star):
+        return _airy_asymptotic(x, 0, dps), _airy_asymptotic(x, 1, dps)
+    return _airy_taylor(x, dps)
+
+
 def airy_eval(x, derivative: int = 0, dps: int = DEFAULT_DPS):
     """Ai(x) (derivative=0) or Ai'(x) (derivative=1) to dps digits, real x."""
     if derivative not in (0, 1):
         raise ValueError("derivative must be 0 or 1")
-    ax = abs(float(x))
-    # smallest |x| at which the asymptotic series can reach ~dps digits
-    xi_min = (dps + 5) * math.log(10) / 2
-    x_star = (1.5 * xi_min) ** (2.0 / 3.0)
-    if ax >= max(AIRY_SWITCHOVER, x_star):
-        return _airy_asymptotic(x, derivative, dps)
-    return _airy_taylor(x, derivative, dps)
+    return _airy_pair(x, dps)[derivative]
 
 
 # Rational coefficients of the large-index expansions of the negative-axis
@@ -298,7 +300,7 @@ def airy_zero_asymptotic(k: int, derivative: int, dps: int = DEFAULT_DPS):
 def airy_negative_zero(k: int, derivative: int = 0, dps: int = DEFAULT_DPS):
     """Magnitude of the k-th (1-based) negative zero of Ai (or Ai').
 
-    Newton refinement of the asymptotic estimate, using airy_eval.
+    Newton refinement of the asymptotic estimate, one (Ai, Ai') pass a step.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -306,13 +308,12 @@ def airy_negative_zero(k: int, derivative: int = 0, dps: int = DEFAULT_DPS):
         x = airy_zero_asymptotic(k, derivative, dps + GUARD)
         tol = mpf(10) ** (-(dps + 5))
         for _ in range(60):
+            ai, aip = _airy_pair(-x, dps + GUARD)
             if derivative == 0:
-                f = airy_eval(-x, 0, dps + GUARD)
-                fp = -airy_eval(-x, 1, dps + GUARD)
+                f, fp = ai, -aip
             else:
-                f = airy_eval(-x, 1, dps + GUARD)
                 # Ai''(y) = y Ai(y), so d/dx Ai'(-x) = -Ai''(-x) = x Ai(-x)
-                fp = x * airy_eval(-x, 0, dps + GUARD)
+                f, fp = aip, x * ai
             step = f / fp
             x -= step
             if abs(step) < tol * x:

@@ -2,23 +2,18 @@
 
 All numeric routines take an explicit decimal precision ``dps`` (default 50)
 and carry GUARD extra digits internally.  Values returned to the caller are
-mpmath numbers rounded to the requested precision; BigReal / BigComplex are
-aliases for ``mpmath.mpf`` / ``mpmath.mpc``.
+mpmath numbers rounded to the requested precision.
 """
 
 from __future__ import annotations
 
 import contextlib
-from fractions import Fraction
 
 import mpmath
 from mpmath import mpf, mpc
 
 DEFAULT_DPS = 50
 GUARD = 10
-
-BigReal = mpf
-BigComplex = mpc
 
 
 @contextlib.contextmanager
@@ -34,14 +29,6 @@ def rounded(x, dps: int):
         return +x
 
 
-def bigreal(x, dps: int = DEFAULT_DPS) -> mpf:
-    """Construct a BigReal from int/str/Fraction/float at the given precision."""
-    with mpmath.mp.workdps(dps + GUARD):
-        if isinstance(x, Fraction):
-            return mpf(x.numerator) / x.denominator
-        return mpf(x)
-
-
 def agree_digits(a, b) -> int:
     """Number of agreeing significant digits of a and b (0 if wildly apart)."""
     a, b = mpmath.mpf(a) if not isinstance(a, (mpf, mpc)) else a, b
@@ -55,8 +42,3 @@ def agree_digits(a, b) -> int:
     if rel >= 1:
         return 0
     return int(mpmath.floor(-mpmath.log10(rel)))
-
-
-def close(a, b, tol) -> bool:
-    """Tolerance-based comparison; raw equality on inexact values is banned."""
-    return abs(mpmath.mpf(1) * (a - b)) <= tol

@@ -3,10 +3,14 @@
 The Neumann condition at q=0 (parity '+') selects the even eigenfunctions of
 the full-line operator, the Dirichlet condition (parity '-') the odd ones.
 Eigenvalues are found by matching an outward power-series integration from
-q=0 against an inward integration carrying decaying initial data, bracketing
-the matching Wronskian on a semiclassical (Bohr-Sommerfeld) grid, and
-polishing by bisection plus secant steps.  Each accepted eigenvalue is
-certified by counting eigenfunction nodes.
+q=0 against an inward integration carrying decaying initial data.  One
+kernel does all the integration: a high-order Taylor recurrence on Python
+integers in fixed point, which on request also carries dpsi/dE.  The
+matching Wronskian is bracketed on a semiclassical (Bohr-Sommerfeld) grid at
+low precision, then polished by Newton steps that double the precision each
+time.  Each accepted eigenvalue is certified by a Wronskian sign change
+across a relative bracket of 10^-(dps+4)/2 at full precision and by
+counting eigenfunction nodes.
 
 For N=1 the odd/even eigenvalues are exactly the negated zeros of Ai / Ai',
 and the solver takes that fast path.
@@ -82,7 +86,6 @@ def merged_spectrum(plus: SpectrumRecord, minus: SpectrumRecord):
     out = []
     for pair in zip(plus.eigenvalues, minus.eigenvalues):
         out.extend(pair)
-    longer = plus.eigenvalues[len(minus):] or minus.eigenvalues[len(plus):]
     if len(plus) == len(minus) + 1:
         out.append(plus.eigenvalues[-1])
     return out
@@ -104,45 +107,48 @@ def _predicted_energy(N: int, k_full: float) -> float:
 
 
 # --------------------------------------------------------------------------
-# Power-series ODE stepping
+# Power-series ODE stepping in integer fixed point
 # --------------------------------------------------------------------------
 
-def _taylor_step(N, E, q0, y, yp, h, tol):
-    """Advance psi'' = (q^N - E) psi from q0 by h via the local Taylor
-    recurrence; returns (psi, psi') at q0 + h."""
-    # potential coefficients of (q0 + t)^N in t
-    v = [mpf(math.comb(N, j)) * q0 ** (N - j) for j in range(N + 1)]
-    c = [y, yp]
-    acc_y = y + yp * h
-    acc_p = yp
-    hp = mpf(1)  # h^{k+1} once incremented below
+def _taylor_step(u, P, tol_h, starts, h2):
+    """Advance psi'' = (q^N - E) psi by one step h with the local Taylor
+    recurrence on scaled terms d_k = c_k h^k, integers in fixed point 2^-P:
+    d_{k+2} = (sum_j u_j d_{k-j} >> P) // ((k+1)(k+2)), where
+    u_j = C(N,j) q0^(N-j) h^(2+j) and u_0 is reduced by E h^2.  `starts`
+    holds (d_0, d_1) of psi, then optionally of dpsi/dE, whose terms have
+    the extra source -h2 d_k (h2 = h^2).  Returns value and h * derivative
+    at q0 + h for each series.  Only the psi terms, against `tol_h` =
+    tol * |h|, decide convergence."""
+    n = len(u)
+    series = [list(pair) for pair in starts]
+    d = series[0]
+    scale = max(abs(d[0]), abs(d[1]))
+    limit = tol_h * scale >> P
     k = 0
     prev_small = False
-    scale = max(abs(y), abs(yp) * abs(h), mpf(1) * 10 ** -50)
-    while True:
-        src = -E * c[k]
-        for j in range(min(k, N) + 1):
-            src += v[j] * c[k - j]
-        nxt = src / ((k + 1) * (k + 2))
-        c.append(nxt)
-        hp *= h
-        term_p = (k + 2) * nxt * hp
-        acc_p += term_p
-        hp2 = hp * h
-        term_y = nxt * hp2
-        acc_y += term_y
-        scale = max(scale, abs(term_y))
+    while k <= 400:
+        # terms d_k, d_{k-1}, ..., d_{k-N} against u_0 ... u_N
+        window = slice(k, k - n, -1) if k >= n else slice(k, None, -1)
+        den = (k + 1) * (k + 2)
+        source = 0
+        for s in series:
+            s.append(((sum(map(int.__mul__, u, s[window])) - source) >> P) // den)
+            source = h2 * d[k]
         k += 1
-        small = (abs(term_y) < tol * scale
-                 and abs(term_p) < tol * scale * max(abs(h), mpf(1)))
+        size = abs(d[-1])
+        if size > scale:
+            scale = size
+            limit = tol_h * scale >> P
+        # with |h| <= 1/2, (k+1)|d| < tol*scale*|h| bounds both the value
+        # term |d| and the derivative term (k+1)|d|/|h| by tol*scale
+        small = (k + 1) * size < limit
         # parity of the potential can zero out every other coefficient, so a
         # single tiny term is not evidence of convergence
         if k > 4 and small and prev_small:
             break
         prev_small = small
-        if k > 400:
-            break
-    return acc_y, acc_p
+    return [v for s in series
+            for v in (sum(s), sum(map(int.__mul__, range(len(s)), s)))]
 
 
 def _forbidden_rate(N: int, E: float, q: float) -> float:
@@ -167,114 +173,123 @@ def _choose_qmax(N: int, E: float, qm: float, decades: float) -> float:
     return q
 
 
-def _shoot(N: int, E, parity: str, dps: int):
+def _shoot(N: int, E, parity: str, dps: int, slope: bool = False):
     """Integrate outward and inward, returning (normalized Wronskian at the
-    matching point, outward node count)."""
-    wp_extra = 15
-    with working(dps, wp_extra):
-        tol = mpf(10) ** (-(dps + GUARD + 10))
+    matching point, outward node count, Newton step -W/(dW/dE) or None).
+
+    Positions, steps and E are integers in fixed point with P = prec + 8
+    bits.  Each step first rescales the state [psi, psi'] (with `slope` also
+    dpsi/dE, dpsi'/dE) by one power of two so max(|psi|, |psi' h|) has P
+    bits."""
+    with working(dps, 15) as ctx:
+        P = ctx.prec + 8
+        one = 1 << P
+        tol = int(mpmath.ldexp(mpf(10) ** (-(dps + GUARD + 10)), P))
         Ef = float(E)
-        qt = Ef ** (1.0 / N)
-        qm_f = 1.2 * qt
+        qm_f = 1.2 * Ef ** (1.0 / N)
         qmax_f = _choose_qmax(N, Ef, qm_f, dps + 10)
-        qm = mpf(qm_f)
-        qmax = mpf(qmax_f)
+        e_fix = int(mpmath.ldexp(E, P))
+
+        def advance(q, h, state):
+            shift = max(abs(state[0]), abs(state[1] * h) >> P).bit_length() - P
+            state[:] = [v >> shift if shift > 0 else v << -shift for v in state]
+            u = [math.comb(N, j) * q ** (N - j) * h ** (j + 2) >> (N + 1) * P
+                 for j in range(N + 1)]
+            u[0] -= e_fix * h * h >> 2 * P
+            starts = [(state[i], state[i + 1] * h >> P)
+                      for i in range(0, len(state), 2)]
+            sums = _taylor_step(u, P, tol * abs(h) >> P, starts, h * h >> P)
+            # odd entries come back as h times the derivative
+            state[:] = [v if i % 2 == 0 else (v << P) // h
+                        for i, v in enumerate(sums)]
 
         # outward sweep: oscillatory region needs the phase advance per step
         # below ~0.5 rad so endpoint signs catch every node
-        h_osc = min(0.25, 0.5 / math.sqrt(max(Ef, 1.0)))
-        y, yp = (mpf(1), mpf(0)) if parity == "+" else (mpf(0), mpf(1))
-        q = mpf(0)
+        h_osc = int(mpmath.ldexp(min(0.25, 0.5 / math.sqrt(max(Ef, 1.0))), P))
+        qm = int(mpmath.ldexp(qm_f, P))
+        out = ([one, 0] if parity == "+" else [0, one]) + [0, 0] * slope
+        q = 0
         nodes = 0
-        prev_sign = mpmath.sign(y) or mpmath.sign(yp)
+        positive = True  # psi starts at 1, or rises from 0 with slope 1
         while q < qm:
-            h = min(mpf(h_osc), qm - q)
-            y, yp = _taylor_step(N, E, q, y, yp, h, tol)
+            h = min(h_osc, qm - q)
+            advance(q, h, out)
             q += h
-            s = mpmath.sign(y)
-            if s and prev_sign and s != prev_sign:
+            if out[0] and (out[0] > 0) != positive:
                 nodes += 1
-            if s:
-                prev_sign = s
-        y_out, yp_out = y, yp
+                positive = not positive
 
         # inward sweep with decaying WKB data
+        qmax = mpf(qmax_f)
         V = qmax ** N
-        kappa = mpmath.sqrt(V - E)
-        y, yp = mpf(1), -kappa - N * qmax ** (N - 1) / (4 * (V - E))
-        q = qmax
+        yp = -mpmath.sqrt(V - E) - N * qmax ** (N - 1) / (4 * (V - E))
+        inn = [one, int(mpmath.ldexp(yp, P))] + [0, 0] * slope
+        q = int(mpmath.ldexp(qmax, P))
         while q > qm:
-            rate = _forbidden_rate(N, Ef, float(q))
+            rate = _forbidden_rate(N, Ef, q / one)
             h = min(0.5, 3.0 / rate if rate > 0 else 0.5)
-            h = min(mpf(h), q - qm)
-            y, yp = _taylor_step(N, E, q, y, yp, -h, tol)
+            h = min(int(mpmath.ldexp(h, P)), q - qm)
+            advance(q, -h, inn)
             q -= h
-            # renormalize to keep magnitudes tame
-            scale = max(abs(y), abs(yp))
-            y /= scale
-            yp /= scale
-        y_in, yp_in = y, yp
 
-        w = yp_out * y_in - y_out * yp_in
-        norm = mpmath.sqrt((y_out ** 2 + yp_out ** 2) * (y_in ** 2 + yp_in ** 2))
-        return w / norm, nodes
+        y_o, yp_o, y_i, yp_i = out[0], out[1], inn[0], inn[1]
+        w = mpf(yp_o * y_i - y_o * yp_i)
+        norm = mpmath.sqrt(mpf(y_o ** 2 + yp_o ** 2) * mpf(y_i ** 2 + yp_i ** 2))
+        step = -w / (out[3] * y_i + yp_o * inn[2] - out[2] * yp_i
+                     - y_o * inn[3]) if slope else None
+        return w / norm, nodes, step
 
 
-def _refine(N: int, parity: str, a, b, wa, wb, dps: int):
-    """Bisection with secant acceleration on the normalized Wronskian."""
-    target = mpf(10) ** (-(dps + 4))
+# Decimal digits of the bracket grid shoots; Newton starts from here.
+GRID_DPS = 8
+
+
+def _polish(N: int, parity: str, a, b, wa, wb, dps: int):
+    """Newton on the matching Wronskian from the secant of the bracket,
+    doubling the shooting precision each step.  A start that converges to
+    the wrong level is caught by the certificate in _solve_one."""
     with working(dps, 15):
-        a, b, wa, wb = mpf(a), mpf(b), mpf(wa), mpf(wb)
-        side = 0
-        for _ in range(dps * 4 + 60):
-            if b - a < target * b:
-                break
-            # Illinois-damped regula falsi: halving a repeatedly retained
-            # endpoint's value restores superlinear convergence
-            denom = wb - wa
-            mid = (a + b) / 2
-            if denom != 0:
-                cand = (a * wb - b * wa) / denom
-                if a < cand < b:
-                    mid = cand
-            wm, _ = _shoot(N, mid, parity, dps)
-            if wm == 0:
-                return mid
-            if mpmath.sign(wm) == mpmath.sign(wa):
-                a, wa = mid, wm
-                if side == -1:
-                    wb /= 2
-                side = -1
-            else:
-                b, wb = mid, wm
-                if side == 1:
-                    wa /= 2
-                side = 1
-        return (a + b) / 2
+        e = (a * wb - b * wa) / (wb - wa)
+        stop = mpf(10) ** (-(dps + 4)) / 4
+        digits = GRID_DPS
+        for _ in range(dps + 60):
+            _, _, step = _shoot(N, e, parity, digits, slope=True)
+            if digits == dps and abs(step) < stop * e:
+                return e + step
+            e += step
+            digits = min(dps, 2 * digits + 4)
+    raise CertificationError(
+        f"Newton polish did not converge for N={N} parity={parity}")
 
 
 def _solve_one(N: int, parity: str, j: int, dps: int, correction: float):
-    """Locate the j-th eigenvalue of the parity sector."""
+    """Locate the j-th eigenvalue of the parity sector and certify it: the
+    Wronskian changes sign across e (1 +- 10^-(dps+4)/4) at full precision,
+    and the outward solution below it has j nodes."""
     kf = 2 * j + (0 if parity == "+" else 1)
     lo = _predicted_energy(N, kf - 1) * correction if kf >= 1 \
         else 0.25 * _predicted_energy(N, 0) * correction
     hi = _predicted_energy(N, kf + 1) * correction
     for attempt in range(3):
         grid = [lo + (hi - lo) * t / 6.0 for t in range(7)]
-        vals = [_shoot(N, mpf(g), parity, dps)[0] for g in grid]
-        bracket = None
-        for (ga, va), (gb, vb) in zip(zip(grid, vals), zip(grid[1:], vals[1:])):
-            if mpmath.sign(va) != mpmath.sign(vb):
-                bracket = (ga, gb, va, vb)
-                break
-        if bracket:
+        vals = [_shoot(N, mpf(g), parity, GRID_DPS)[0] for g in grid]
+        i = next((i for i in range(6)
+                  if mpmath.sign(vals[i]) != mpmath.sign(vals[i + 1])), None)
+        if i is not None:
             break
         lo, hi = lo / 1.5, hi * 1.5
     else:
         raise BracketFailureError(
             f"no sign change for N={N} parity={parity} index {j}")
-    e = _refine(N, parity, *bracket, dps)
-    _, nodes = _shoot(N, e, parity, dps)
+    e = _polish(N, parity, grid[i], grid[i + 1], vals[i], vals[i + 1], dps)
+    with working(dps, 15):
+        delta = mpf(10) ** (-(dps + 4)) / 4
+        w_lo, nodes, _ = _shoot(N, e * (1 - delta), parity, dps)
+        w_hi, _, _ = _shoot(N, e * (1 + delta), parity, dps)
+    if w_lo * w_hi > 0:
+        raise CertificationError(
+            f"no Wronskian sign change around {mpmath.nstr(e, 20)} "
+            f"for N={N} parity={parity}")
     if nodes != j:
         raise CertificationError(
             f"node count {nodes} != index {j} for N={N} parity={parity}")

@@ -22,7 +22,6 @@ import dataclasses
 import json
 from fractions import Fraction
 
-from .closedforms import closed_form_eval, closed_form_names  # noqa: F401
 from .cyclo import CycloNumber, cos_pi_frac, rational
 from .errors import NotAMultipleError
 from .sympoly import SymPoly, TruncSeries, ZKind, ZSymbol

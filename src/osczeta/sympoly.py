@@ -126,12 +126,6 @@ class SymPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(m == () for m in self.terms)
-
-    def constant_part(self) -> CycloNumber:
-        return self.terms.get((), rational(0))
-
     def symbols(self):
         out = set()
         for mono in self.terms:

@@ -22,8 +22,6 @@ residual cross-checks everything.
 from __future__ import annotations
 
 import dataclasses
-import math
-from fractions import Fraction
 
 import mpmath
 from mpmath import mpf, mpc
@@ -35,8 +33,8 @@ from .errors import (
     SummationPoleError,
     TailBoundError,
 )
-from .numerics import AIRY_ZERO_COEFFS, AIRY_DERIV_ZERO_COEFFS, bernoulli_number
-from .precision import DEFAULT_DPS, GUARD, rounded, working
+from .numerics import AIRY_ZERO_COEFFS, AIRY_DERIV_ZERO_COEFFS
+from .precision import DEFAULT_DPS, rounded, working
 from .spectrum import SpectrumRecord
 
 KINDS = ("full", "twisted", "plus", "minus")

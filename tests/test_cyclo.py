@@ -18,6 +18,7 @@ from osczeta.cyclo import (
     sqrt5,
     two_i_sin_pi_frac,
 )
+from osczeta.sympoly import SymPoly, ZKind, ZSymbol
 
 CONDUCTORS = (6, 8, 10, 16)
 
@@ -128,3 +129,34 @@ def test_text_canonical_and_stable():
     a = sqrt2() + rational(Fraction(1, 3))
     assert a.text() == (sqrt2() + rational(Fraction(1, 3))).text()
     assert rational(0).text() == "0"
+
+
+@st.composite
+def lifted_pairs(draw):
+    m = draw(st.sampled_from(CONDUCTORS))
+    x = draw(elements(m))
+    return x, x.lift(m * draw(st.integers(min_value=1, max_value=4)))
+
+
+@given(lifted_pairs(), elements(8))
+@settings(max_examples=60, deadline=None)
+def test_equal_elements_hash_equal(pair, other):
+    # equality crosses conductors, so the hash must not depend on them
+    x, lifted = pair
+    assert x == lifted and hash(x) == hash(lifted)
+    if x == other:
+        assert hash(x) == hash(other)
+
+    def poly(c):
+        return SymPoly.symbol(ZSymbol(ZKind.ZFULL, 1), c) + c
+
+    assert poly(x) == poly(lifted) and hash(poly(x)) == hash(poly(lifted))
+
+
+def test_hash_across_conductors_and_rationals():
+    assert CycloNumber.zeta(4, 1) == CycloNumber.zeta(8, 2)
+    assert hash(CycloNumber.zeta(4, 1)) == hash(CycloNumber.zeta(8, 2))
+    assert len({CycloNumber.zeta(4, 1), CycloNumber.zeta(8, 2)}) == 1
+    # rational elements keep the hash of the rational they equal
+    assert hash(rational(Fraction(3, 7)).lift(12)) == hash(Fraction(3, 7))
+    assert hash(sqrt2() ** 2) == hash(2)

@@ -2,16 +2,27 @@
 and the counting-function diagnostic."""
 
 import json
+import os
 
 import mpmath as mp
 import pytest
 
+from osczeta import spectrum
+from osczeta.errors import CertificationError
 from osczeta.spectrum import (
     SpectrumRecord,
     counting_check,
     eigenvalues,
     merged_spectrum,
 )
+
+# exact binary values (sign, mantissa, exponent, bitcount) of the first two
+# eigenvalues per sector, as returned by the bisection/secant solver the
+# Newton polish replaced
+SNAPSHOT_PATH = os.path.join(os.path.dirname(__file__), "data",
+                             "spectrum_snapshot.json")
+with open(SNAPSHOT_PATH, encoding="utf-8") as _fh:
+    SNAPSHOT = json.load(_fh)
 
 
 class TestHarmonic:
@@ -111,3 +122,44 @@ class TestSolverConsistency:
             eigenvalues(3, "odd", 3)
         with pytest.raises(ValueError):
             eigenvalues(3, "+", 0)
+
+
+class TestSolverRegression:
+    @pytest.mark.parametrize("key", sorted(SNAPSHOT))
+    def test_bit_identical_to_snapshot(self, key):
+        sector, dps = key.split("@")
+        rec = eigenvalues(int(sector[0]), sector[1], 2, int(dps))
+        assert [list(e._mpf_) for e in rec.eigenvalues] == SNAPSHOT[key]
+
+    def test_shoots_per_eigenvalue(self, monkeypatch):
+        # 7 grid shoots, a handful of Newton shoots, 2 certificate shoots
+        calls = []
+        shoot = spectrum._shoot
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return shoot(*args, **kwargs)
+
+        monkeypatch.setattr(spectrum, "_shoot", counting)
+        eigenvalues(3, "+", 1, 50)
+        assert len(calls) <= 16
+
+    def test_polish_from_wrong_level_is_refused(self, monkeypatch):
+        # a bracket grid one level up starts Newton at the next eigenvalue
+        # of the sector, which has one node too many
+        predicted = spectrum._predicted_energy
+        monkeypatch.setattr(spectrum, "_predicted_energy",
+                            lambda N, k: predicted(N, k + 2))
+        with pytest.raises(CertificationError, match="node count"):
+            eigenvalues(3, "-", 1, 20)
+
+    def test_unconverged_polish_is_refused(self, monkeypatch):
+        polish = spectrum._polish
+
+        def off_root(*args):
+            with mp.workdps(40):
+                return polish(*args) * (1 + mp.mpf("1e-22"))
+
+        monkeypatch.setattr(spectrum, "_polish", off_root)
+        with pytest.raises(CertificationError, match="sign change"):
+            eigenvalues(4, "-", 1, 20)
