@@ -15,11 +15,11 @@ import sys
 import mpmath as mp
 
 from . import closedforms as cforms
-from .errors import OsczetaError
+from .errors import EliminationError, OsczetaError
 from .precision import DEFAULT_DPS
 from .spectrum import eigenvalues
 from .sumrules import (autonomous_full_identity, classify_lhs,
-                       derive_sum_rules, identities_to_json, symmetry_order)
+                       derive_sum_rules, symmetry_order)
 from .verify import SPECTRAL_DPS_CAP, run_battery
 from .zetafns import zeta_em
 
@@ -170,12 +170,18 @@ def cmd_derive(cfg: RunConfig) -> int:
     for N in cfg.n_list:
         idents = derive_sum_rules(N, cfg.n_max)
         # full-order identities restated with the lower orders eliminated,
-        # so both sides involve only full zeta values
+        # so both sides involve only full zeta values; a restatement whose
+        # twisted values cannot all be eliminated (N=2, where ZP(1) = pi/4
+        # is a constant) is left out
         L = symmetry_order(N)
-        autonomous = [autonomous_full_identity(N, n)
-                      for n in range(L, cfg.n_max + 1, L)]
+        autonomous = []
+        for n in range(L, cfg.n_max + 1, L):
+            try:
+                autonomous.append(autonomous_full_identity(N, n, idents))
+            except EliminationError:
+                pass
         if cfg.fmt == "json":
-            chunk = json.loads(identities_to_json(idents))
+            chunk = [i.to_json_dict() for i in idents]
             for ident in autonomous:
                 d = ident.to_json_dict()
                 d["autonomous"] = True

@@ -2,9 +2,11 @@
 
 A CycloNumber is a rational linear combination of powers of the primitive
 m-th root of unity zeta_m = exp(2*pi*i/m), stored in the power basis
-zeta^0 ... zeta^{phi(m)-1} reduced modulo the m-th cyclotomic polynomial.
+zeta^0 ... zeta^{phi(m)-1} reduced modulo the m-th cyclotomic polynomial,
+as integer numerators over one positive common denominator in lowest terms.
 Elements of different conductors combine by lifting to the least common
-conductor (zeta_m = zeta_M^{M/m} when m | M).
+conductor (zeta_m = zeta_M^{M/m} when m | M); a rational (conductor 1)
+operand combines with any element directly, without a lift.
 
 These fields house every coefficient appearing in the sum-rule layer:
 exp(i*nu*pi) with nu = 1/(N+2) is zeta_{2(N+2)}, and the real surds that
@@ -19,17 +21,28 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
-import sympy
 
 from .precision import working, rounded
 
 
 @lru_cache(maxsize=None)
 def _min_poly_coeffs(m: int) -> tuple:
-    """Coefficients (constant first) of the m-th cyclotomic polynomial."""
-    poly = sympy.cyclotomic_poly(m, sympy.Symbol("x"))
-    coeffs = sympy.Poly(poly, sympy.Symbol("x")).all_coeffs()[::-1]
-    return tuple(Fraction(int(c)) for c in coeffs)
+    """Integer coefficients (constant first) of the m-th cyclotomic
+    polynomial: x^m - 1 divided exactly by the monic Phi_d for every proper
+    divisor d of m."""
+    num = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            den = _min_poly_coeffs(d)
+            k = len(den) - 1
+            quot = [0] * (len(num) - k)
+            for i in range(len(num) - 1, k - 1, -1):
+                c = quot[i - k] = num[i]
+                if c:
+                    for j, dj in enumerate(den):
+                        num[i - k + j] -= c * dj
+            num = quot
+    return tuple(num)
 
 
 @lru_cache(maxsize=None)
@@ -37,63 +50,69 @@ def _degree(m: int) -> int:
     return len(_min_poly_coeffs(m)) - 1
 
 
+def _mobius(n: int) -> int:
+    """mu(n) = sum of the primitive n-th roots of unity = minus the
+    next-to-leading coefficient of Phi_n."""
+    return -_min_poly_coeffs(n)[-2]
+
+
 @lru_cache(maxsize=None)
 def _trace_weight(m: int, k: int) -> Fraction:
     """(1/phi(m)) Tr(zeta_m^k) = mu(m/g) / phi(m/g) with g = gcd(k, m)."""
     d = m // math.gcd(k, m)
-    return Fraction(int(sympy.mobius(d)), _degree(d))
+    return Fraction(_mobius(d), _degree(d))
 
 
-def _reduce(vec: list, m: int) -> tuple:
-    """Reduce a coefficient list (powers of zeta_m, constant first) modulo
-    the cyclotomic polynomial; return exactly phi(m) coefficients."""
+def _reduce(vec: list, m: int) -> list:
+    """Reduce an integer coefficient list (powers of zeta_m, constant first)
+    in place modulo the cyclotomic polynomial; return exactly phi(m)
+    coefficients."""
     phi = _degree(m)
-    modulus = _min_poly_coeffs(m)
-    vec = list(vec)
-    for i in range(len(vec) - 1, phi - 1, -1):
-        c = vec[i]
-        if c:
-            # subtract c * x^{i-phi} * Phi_m(x)  (Phi_m is monic)
-            shift = i - phi
-            for j, mj in enumerate(modulus):
-                vec[shift + j] -= c * mj
-        vec.pop()
-    while len(vec) < phi:
-        vec.append(Fraction(0))
-    return tuple(Fraction(c) for c in vec)
+    if len(vec) > phi:
+        modulus = _min_poly_coeffs(m)
+        for i in range(len(vec) - 1, phi - 1, -1):
+            c = vec[i]
+            if c:
+                # subtract c * x^{i-phi} * Phi_m(x)  (Phi_m is monic)
+                shift = i - phi
+                for j, mj in enumerate(modulus):
+                    if mj:
+                        vec[shift + j] -= c * mj
+        del vec[phi:]
+    vec.extend([0] * (phi - len(vec)))
+    return vec
 
 
-def _poly_divmod(num: list, den: list):
-    """Quotient and remainder of exact polynomial division (constant first)."""
-    num = [Fraction(c) for c in num]
-    den = [Fraction(c) for c in den]
-    while den and den[-1] == 0:
-        den.pop()
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(1, len(num) - len(den) + 1)
-    lead = den[-1]
-    for i in range(len(num) - len(den), -1, -1):
-        c = num[i + len(den) - 1] / lead
-        if c:
-            q[i] = c
-            for j, dj in enumerate(den):
-                num[i + j] -= c * dj
-    while num and num[-1] == 0:
-        num.pop()
-    return q, num
+_set = object.__setattr__
+
+
+def _make(m: int, num: list, den: int) -> "CycloNumber":
+    """CycloNumber from reduced integer numerators over den > 0, brought to
+    lowest terms (all-zero numerators get den = 1)."""
+    g = math.gcd(den, *num)
+    if g != 1:
+        num = [c // g for c in num]
+        den //= g
+    x = object.__new__(CycloNumber)
+    _set(x, "m", m)
+    _set(x, "num", tuple(num))
+    _set(x, "den", den)
+    return x
 
 
 class CycloNumber:
-    """Immutable element of Q(zeta_m) in canonical (reduced) form."""
+    """Immutable element of Q(zeta_m) in canonical (reduced) form: `num`
+    holds phi(m) integer numerators over the positive denominator `den`."""
 
-    __slots__ = ("m", "coeffs")
+    __slots__ = ("m", "num", "den")
 
-    def __init__(self, m: int, coeffs):
+    def __new__(cls, m: int, coeffs):
         if m < 1:
             raise ValueError("conductor must be positive")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "coeffs", _reduce(list(coeffs), m))
+        coeffs = [Fraction(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in coeffs))
+        num = [c.numerator * (den // c.denominator) for c in coeffs]
+        return _make(m, _reduce(num, m), den)
 
     def __setattr__(self, *a):
         raise AttributeError("CycloNumber is immutable")
@@ -102,28 +121,33 @@ class CycloNumber:
 
     @staticmethod
     def from_rational(q, m: int = 1) -> "CycloNumber":
-        vec = [Fraction(q)] + [Fraction(0)] * (_degree(m) - 1)
-        return CycloNumber(m, vec)
+        q = Fraction(q)
+        return _make(m, [q.numerator] + [0] * (_degree(m) - 1), q.denominator)
 
     @staticmethod
     def zeta(m: int, power: int = 1) -> "CycloNumber":
         """zeta_m^power."""
         power %= m
-        vec = [Fraction(0)] * (power + 1)
-        vec[power] = Fraction(1)
-        return CycloNumber(m, vec)
+        vec = [0] * (power + 1)
+        vec[power] = 1
+        return _make(m, _reduce(vec, m), 1)
 
     # -- structure -----------------------------------------------------------
+
+    @property
+    def coeffs(self) -> tuple:
+        """Power-basis coordinates as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def lift(self, M: int) -> "CycloNumber":
         """Re-express in the larger field Q(zeta_M); requires m | M."""
         if M % self.m:
             raise ValueError(f"cannot lift conductor {self.m} into {M}")
         step = M // self.m
-        vec = [Fraction(0)] * (_degree(self.m) * step + 1)
-        for i, c in enumerate(self.coeffs):
-            vec[i * step] += c
-        return CycloNumber(M, vec)
+        vec = [0] * (_degree(self.m) * step + 1)
+        for i, c in enumerate(self.num):
+            vec[i * step] = c
+        return _make(M, _reduce(vec, M), self.den)
 
     def _common(self, other: "CycloNumber"):
         if self.m == other.m:
@@ -132,27 +156,31 @@ class CycloNumber:
         return self.lift(M), other.lift(M)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("not a rational element")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
+
+    def _galois(self, k: int) -> "CycloNumber":
+        """Image under the field automorphism zeta -> zeta^k (gcd(k, m) = 1)."""
+        vec = [0] * self.m
+        for i, c in enumerate(self.num):
+            vec[i * k % self.m] += c
+        return _make(self.m, _reduce(vec, self.m), self.den)
 
     def conjugate(self) -> "CycloNumber":
         """Complex conjugate: zeta -> zeta^{-1}."""
-        vec = [Fraction(0)] * self.m
-        for i, c in enumerate(self.coeffs):
-            vec[(-i) % self.m] += c
-        return CycloNumber(self.m, vec)
+        return self._galois(-1)
 
     # -- arithmetic ----------------------------------------------------------
 
     @staticmethod
-    def _coerce(x, m_hint: int = 1):
+    def _coerce(x):
         if isinstance(x, CycloNumber):
             return x
         if isinstance(x, (int, Fraction)):
@@ -163,13 +191,21 @@ class CycloNumber:
         other = CycloNumber._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if other.m == 1 or self.m == 1:
+            a, b = (self, other) if other.m == 1 else (other, self)
+            # a rational b shifts only the constant coordinate of a
+            num = [c * b.den for c in a.num]
+            num[0] += b.num[0] * a.den
+            return _make(a.m, num, a.den * b.den)
         a, b = self._common(other)
-        return CycloNumber(a.m, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        da, db = a.den, b.den
+        return _make(a.m, [x * db + y * da for x, y in zip(a.num, b.num)],
+                     da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloNumber(self.m, [-c for c in self.coeffs])
+        return _make(self.m, [-c for c in self.num], self.den)
 
     def __sub__(self, other):
         other = CycloNumber._coerce(other)
@@ -184,57 +220,40 @@ class CycloNumber:
         other = CycloNumber._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if other.m == 1 or self.m == 1:
+            a, b = (self, other) if other.m == 1 else (other, self)
+            q = b.num[0]
+            return _make(a.m, [c * q for c in a.num], a.den * b.den)
         a, b = self._common(other)
-        out = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
-        for i, ci in enumerate(a.coeffs):
+        bn = b.num
+        out = [0] * (len(a.num) + len(bn) - 1)
+        for i, ci in enumerate(a.num):
             if ci:
-                for j, cj in enumerate(b.coeffs):
+                for j, cj in enumerate(bn):
                     if cj:
                         out[i + j] += ci * cj
-        return CycloNumber(a.m, out)
+        return _make(a.m, _reduce(out, a.m), a.den * b.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloNumber":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        if self.is_rational():
-            return CycloNumber.from_rational(1 / self.coeffs[0], self.m)
-        # extended Euclid: s*a + t*Phi_m = gcd = const, so a^{-1} = s/const
-        a = list(self.coeffs)
-        b = list(_min_poly_coeffs(self.m))
-        s0, s1 = [Fraction(1)], [Fraction(0)]
-        r0, r1 = a, b
-        while any(c != 0 for c in r1) and len(r1) > 1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            # s_{k+1} = s_{k-1} - q*s_k
-            prod = [Fraction(0)] * (len(q) + len(s1) - 1 if s1 else 1)
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        prod[i + j] += qi * sj
-            new_s = [Fraction(0)] * max(len(s0), len(prod))
-            for i, c in enumerate(s0):
-                new_s[i] += c
-            for i, c in enumerate(prod):
-                new_s[i] -= c
-            s0, s1 = s1, new_s
-        if not r1 or all(c == 0 for c in r1):
-            raise ZeroDivisionError("element shares a factor with the modulus")
-        const = r1[0]
-        inv_vec = [c / const for c in s1]
-        return CycloNumber(self.m, inv_vec)
+        # 1/x = (product of the other Galois conjugates of x) / norm(x)
+        rest = CycloNumber.from_rational(1, self.m)
+        for k in range(2, self.m):
+            if math.gcd(k, self.m) == 1:
+                rest = rest * self._galois(k)
+        return rest * (1 / (self * rest).rational_value())
 
     def __truediv__(self, other):
         other = CycloNumber._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._common(other)
-        return a * b.inverse()
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return CycloNumber._coerce(other, self.m) * self.inverse()
+        return CycloNumber._coerce(other) * self.inverse()
 
     def __pow__(self, n: int):
         if n < 0:
@@ -255,13 +274,14 @@ class CycloNumber:
         if other is NotImplemented:
             return NotImplemented
         a, b = self._common(other)
-        return a.coeffs == b.coeffs
+        return a.den == b.den and a.num == b.num
 
     def __hash__(self):
         # the normalized trace (1/phi(m)) Tr(x) does not depend on the
         # conductor x is written in, and equals x when x is rational
         return hash(sum(c * _trace_weight(self.m, i)
-                        for i, c in enumerate(self.coeffs) if c))
+                        for i, c in enumerate(self.num) if c)
+                    / Fraction(self.den))
 
     # -- output --------------------------------------------------------------
 

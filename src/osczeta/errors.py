@@ -47,3 +47,7 @@ class UnknownIdentifierError(OsczetaError, KeyError):
 
 class NotAMultipleError(OsczetaError, ValueError):
     """Order is not a multiple of the symmetry period."""
+
+
+class EliminationError(OsczetaError):
+    """Symbols survive an elimination that should have removed them."""

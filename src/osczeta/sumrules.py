@@ -7,8 +7,10 @@ Substituting into
 with w = e^{4 i nu pi} and rhs = 2i (or 2i e^{-i pi l / 4} for N=2, where
 pi/4 is itself the alternating zeta value at 1, keeping everything
 algebraic), and matching powers of l yields one polynomial identity per
-order.  Order 0 fixes exp(Z'(0)) = sin(nu pi); each higher order n, after
-normalization, reads
+order.  Both products are exponentials of series linear in the zeta values,
+so with Z+- = (Z +- ZP)/2 they expand directly in the reporting basis of
+full values Z(n) and twisted values ZP(n).  Order 0 fixes
+exp(Z'(0)) = sin(nu pi); each higher order n, after normalization, reads
 
   -cot(nu pi) sin(2 n nu pi) * ZP(n) + cos(2 n nu pi) * Z(n) = P_n,
 
@@ -19,11 +21,10 @@ m < n.  All coefficients live in the cyclotomic field of conductor 2(N+2).
 from __future__ import annotations
 
 import dataclasses
-import json
 from fractions import Fraction
 
 from .cyclo import CycloNumber, cos_pi_frac, rational
-from .errors import NotAMultipleError
+from .errors import EliminationError, NotAMultipleError
 from .sympoly import SymPoly, TruncSeries, ZKind, ZSymbol
 
 CLASSIFICATIONS = ("Zprime0", "Zfull", "Ztwisted", "Zplus", "Zminus", "generic")
@@ -92,29 +93,22 @@ class SumRuleIdentity:
         }
 
 
-def _zsym(kind: ZKind, n: int) -> ZSymbol:
-    return ZSymbol(kind, n)
-
-
-def _parity_log_series(kind: ZKind, M: int) -> TruncSeries:
-    """exp(-sum_{n>=1} Z(n) (-l)^n / n) for one parity, as a series with
-    symbolic coefficients (the exp(-Z'(0)) prefactor is handled globally)."""
-    coeffs = [SymPoly.zero()]
+def _product_series(omega: CycloNumber, M: int):
+    """D+(l) D-(w l) and D+(w l) D-(l) up to order M, with the exp(-Z'(0))
+    prefactors handled globally.  Their logarithms have order-n coefficients
+    c_n (Z+(n) + w^n Z-(n)) and c_n (w^n Z+(n) + Z-(n)), c_n = (-1)^(n+1)/n,
+    i.e. c_n ((1 + w^n)/2 Z(n) +- (1 - w^n)/2 ZP(n))."""
+    log_a, log_b = [SymPoly.zero()], [SymPoly.zero()]
+    w_n = rational(1)
     for n in range(1, M + 1):
-        coeffs.append(SymPoly.symbol(_zsym(kind, n), Fraction((-1) ** (n + 1), n)))
-    return TruncSeries(M, coeffs).exp()
-
-
-def _to_full_twisted(poly: SymPoly, orders) -> SymPoly:
-    """Rewrite Z+/Z- symbols as (Zfull +- Ztwisted)/2."""
-    mapping = {}
-    half = Fraction(1, 2)
-    for n in orders:
-        F = SymPoly.symbol(_zsym(ZKind.ZFULL, n), half)
-        T = SymPoly.symbol(_zsym(ZKind.ZTWISTED, n), half)
-        mapping[_zsym(ZKind.ZPLUS, n)] = F + T
-        mapping[_zsym(ZKind.ZMINUS, n)] = F - T
-    return poly.substitute(mapping)
+        w_n = w_n * omega
+        half_c = Fraction((-1) ** (n + 1), 2 * n)
+        full = ((ZSymbol(ZKind.ZFULL, n), 1),)
+        tw = ((ZSymbol(ZKind.ZTWISTED, n), 1),)
+        c_full, c_tw = (w_n + 1) * half_c, (1 - w_n) * half_c
+        log_a.append(SymPoly({full: c_full, tw: c_tw}))
+        log_b.append(SymPoly({full: c_full, tw: -c_tw}))
+    return TruncSeries(M, log_a).exp(), TruncSeries(M, log_b).exp()
 
 
 def derive_sum_rules(N: int, n_max: int):
@@ -126,54 +120,37 @@ def derive_sum_rules(N: int, n_max: int):
     zeta_inv = zeta.conjugate()
     omega = CycloNumber.zeta(m, 4)         # e^{4 i nu pi}
     two_i_sin = zeta - zeta_inv            # 2i sin(nu pi)
-    M = n_max
 
     out = [SumRuleIdentity(
-        N, 0, SymPoly.symbol(_zsym(ZKind.ZPLUS_PRIME0, 0))
-        + SymPoly.symbol(_zsym(ZKind.ZMINUS_PRIME0, 0)),
+        N, 0, SymPoly.symbol(ZSymbol(ZKind.ZPLUS_PRIME0, 0))
+        + SymPoly.symbol(ZSymbol(ZKind.ZMINUS_PRIME0, 0)),
         SymPoly.zero(), "Zprime0", exp_rhs=cos_pi_frac(N, 2 * (N + 2)))]
     if n_max == 0:
         return out
 
-    splus = _parity_log_series(ZKind.ZPLUS, M)
-    sminus = _parity_log_series(ZKind.ZMINUS, M)
-    lhs_series = (splus * sminus.rescale_argument(omega)) * zeta \
-        - (splus.rescale_argument(omega) * sminus) * zeta_inv
+    exp_a, exp_b = _product_series(omega, n_max)
 
     # right-hand side (divided by exp(-Z'(0)), i.e. times sin(nu pi)):
-    # constant 2i sin(nu pi) in general; for N=2 the factor e^{-i pi l/4}
-    # contributes (-i ZP(1))^n / n! per order, with pi/4 = ZP(1)
-    rhs_coeffs = [SymPoly.constant(two_i_sin)]
+    # 2i sin(nu pi) times 1 in general, times e^{-i pi l/4} = exp(-i ZP(1) l)
+    # for N=2, with pi/4 = ZP(1)
+    rhs_series = TruncSeries(n_max, [1])
     if N == 2:
-        i_unit = CycloNumber.zeta(4, 1)
-        zp1 = SymPoly.symbol(_zsym(ZKind.ZPLUS, 1)) \
-            - SymPoly.symbol(_zsym(ZKind.ZMINUS, 1))
-        fact = Fraction(1)
-        term = SymPoly.constant(1)
-        for n in range(1, M + 1):
-            term = term * zp1
-            fact /= n
-            c = (-i_unit) ** n * two_i_sin
-            rhs_coeffs.append(term.scaled(c).scaled(fact))
-    rhs_series = TruncSeries(M, rhs_coeffs)
+        rhs_series = TruncSeries(n_max, [0, SymPoly.symbol(
+            ZSymbol(ZKind.ZTWISTED, 1), -CycloNumber.zeta(4, 1))]).exp()
 
     full_sub = {}          # Zfull(m) -> SymPoly in twisted symbols
-    blocked_full = set()   # orders where Zfull could not be solved for
     for n in range(1, n_max + 1):
-        raw = lhs_series.coefficient(n) - rhs_series.coefficient(n)
         fnorm = rational(Fraction((-1) ** (n + 1) * n)) \
             * (zeta_inv ** (2 * n)) * two_i_sin.inverse()
-        raw = raw.scaled(fnorm)
-        raw = _to_full_twisted(raw, range(1, n + 1))
+        raw = exp_a.coefficient(n).scaled(zeta * fnorm) \
+            - exp_b.coefficient(n).scaled(zeta_inv * fnorm) \
+            - rhs_series.coefficient(n).scaled(two_i_sin * fnorm)
 
-        lhs = SymPoly.zero()
-        rhs = SymPoly.zero()
-        for mono, c in raw.terms.items():
-            if any(sym.order == n for sym, _ in mono):
-                lhs = lhs + SymPoly({mono: c})
-            else:
-                rhs = rhs - SymPoly({mono: c})
-        rhs = rhs.substitute(full_sub)
+        # terms carrying an order-n symbol stay left, the rest move right
+        top = {mo for mo in raw.terms if any(s.order == n for s, _ in mo)}
+        lhs = SymPoly({mo: c for mo, c in raw.terms.items() if mo in top})
+        rhs = SymPoly({mo: -c for mo, c in raw.terms.items()
+                       if mo not in top}).substitute(full_sub)
 
         if lhs.is_zero() and rhs.is_zero():
             out.append(SumRuleIdentity(N, n, lhs, rhs, classify_lhs(N, n),
@@ -187,16 +164,14 @@ def derive_sum_rules(N: int, n_max: int):
         if not rhs.is_homogeneous(n):
             raise AssertionError(f"inhomogeneous rhs at N={N}, n={n}")
 
-        c_full = lhs.terms.get(((_zsym(ZKind.ZFULL, n), 1),))
-        c_tw = lhs.terms.get(((_zsym(ZKind.ZTWISTED, n), 1),))
+        c_full = lhs.terms.get(((ZSymbol(ZKind.ZFULL, n), 1),))
+        c_tw = lhs.terms.get(((ZSymbol(ZKind.ZTWISTED, n), 1),))
         if c_full is not None and not c_full.is_zero():
             # Zfull(n) = (rhs - c_tw * Ztw(n)) / c_full
             expr = rhs
             if c_tw is not None:
-                expr = expr - SymPoly.symbol(_zsym(ZKind.ZTWISTED, n), c_tw)
-            full_sub[_zsym(ZKind.ZFULL, n)] = expr.scaled(c_full.inverse())
-        else:
-            blocked_full.add(n)
+                expr = expr - SymPoly.symbol(ZSymbol(ZKind.ZTWISTED, n), c_tw)
+            full_sub[ZSymbol(ZKind.ZFULL, n)] = expr.scaled(c_full.inverse())
 
         out.append(SumRuleIdentity(N, n, lhs, rhs, classify_lhs(N, n)))
     return out
@@ -211,36 +186,44 @@ def solved_form(identity: SumRuleIdentity):
     n = identity.order
     lhs, rhs = identity.lhs, identity.rhs
     if cls in ("Zplus", "Zminus"):
+        # rhs stays in twisted symbols; only lhs changes basis
         lhs = _basis_to_plusminus(lhs)
-        rhs_pm = rhs  # rhs stays in twisted symbols; only lhs is rescaled
         kind = ZKind.ZPLUS if cls == "Zplus" else ZKind.ZMINUS
     else:
-        rhs_pm = rhs
         kind = ZKind.ZFULL if cls == "Zfull" else ZKind.ZTWISTED
-    sym = _zsym(kind, n)
+    sym = ZSymbol(kind, n)
     coeff = lhs.terms.get(((sym, 1),))
     if coeff is None or coeff.is_zero():
         raise AssertionError(f"expected {sym!r} in lhs")
     rest = lhs - SymPoly.symbol(sym, coeff)
     if not rest.is_zero():
         raise AssertionError(f"lhs not proportional to {sym!r}")
-    return SymPoly.symbol(sym), rhs_pm.scaled(coeff.inverse())
+    return SymPoly.symbol(sym), rhs.scaled(coeff.inverse())
 
 
 def _basis_to_plusminus(poly: SymPoly) -> SymPoly:
     mapping = {}
     for sym in poly.symbols():
         if sym.kind is ZKind.ZFULL:
-            mapping[sym] = SymPoly.symbol(_zsym(ZKind.ZPLUS, sym.order)) \
-                + SymPoly.symbol(_zsym(ZKind.ZMINUS, sym.order))
+            mapping[sym] = SymPoly.symbol(ZSymbol(ZKind.ZPLUS, sym.order)) \
+                + SymPoly.symbol(ZSymbol(ZKind.ZMINUS, sym.order))
         elif sym.kind is ZKind.ZTWISTED:
-            mapping[sym] = SymPoly.symbol(_zsym(ZKind.ZPLUS, sym.order)) \
-                - SymPoly.symbol(_zsym(ZKind.ZMINUS, sym.order))
+            mapping[sym] = SymPoly.symbol(ZSymbol(ZKind.ZPLUS, sym.order)) \
+                - SymPoly.symbol(ZSymbol(ZKind.ZMINUS, sym.order))
     return poly.substitute(mapping)
 
 
 def _basis_to_fulltwisted(poly: SymPoly) -> SymPoly:
-    return _to_full_twisted(poly, sorted({s.order for s in poly.symbols()}))
+    """Rewrite Z+/Z- symbols as (Zfull +- Ztwisted)/2."""
+    mapping = {}
+    for sym in poly.symbols():
+        F = SymPoly.symbol(ZSymbol(ZKind.ZFULL, sym.order), Fraction(1, 2))
+        T = SymPoly.symbol(ZSymbol(ZKind.ZTWISTED, sym.order), Fraction(1, 2))
+        if sym.kind is ZKind.ZPLUS:
+            mapping[sym] = F + T
+        elif sym.kind is ZKind.ZMINUS:
+            mapping[sym] = F - T
+    return poly.substitute(mapping)
 
 
 def convert_basis(identity: SumRuleIdentity, target: str) -> SumRuleIdentity:
@@ -252,37 +235,40 @@ def convert_basis(identity: SumRuleIdentity, target: str) -> SumRuleIdentity:
                                rhs=conv(identity.rhs))
 
 
-def autonomous_full_identity(N: int, n: int) -> SumRuleIdentity:
+def autonomous_full_identity(N: int, n: int, rules=None) -> SumRuleIdentity:
     """The order-n identity (n a positive multiple of L_N) eliminated to
-    contain full zeta values only on both sides."""
+    contain full zeta values only on both sides.  `rules` may pass in
+    derive_sum_rules(N, M) for any M >= n: its first n+1 entries are
+    derive_sum_rules(N, n)."""
     L = symmetry_order(N)
     if n <= 0 or n % L:
         raise NotAMultipleError(f"n={n} is not a positive multiple of L={L}")
-    rules = derive_sum_rules(N, n)
+    if rules is None:
+        rules = derive_sum_rules(N, n)
+    elif len(rules) <= n or rules[0].N != N:
+        raise ValueError(f"rules do not reach order {n} of degree {N}")
     # build Ztwisted(m) -> polynomial in Zfull(<= m), walking upward
     tw_sub = {}
     for ident in rules[1:n]:
         if ident.degenerate:
             continue
         m_ord = ident.order
-        c_tw = ident.lhs.terms.get(((_zsym(ZKind.ZTWISTED, m_ord), 1),))
+        c_tw = ident.lhs.terms.get(((ZSymbol(ZKind.ZTWISTED, m_ord), 1),))
         if c_tw is None or c_tw.is_zero():
             continue  # identity fixes Zfull(m) instead; Ztw(m) must cancel
-        c_full = ident.lhs.terms.get(((_zsym(ZKind.ZFULL, m_ord), 1),))
+        c_full = ident.lhs.terms.get(((ZSymbol(ZKind.ZFULL, m_ord), 1),))
         expr = ident.rhs.substitute(tw_sub)
         if c_full is not None and not c_full.is_zero():
-            expr = expr - SymPoly.symbol(_zsym(ZKind.ZFULL, m_ord), c_full)
-        tw_sub[_zsym(ZKind.ZTWISTED, m_ord)] = expr.scaled(c_tw.inverse())
+            expr = expr - SymPoly.symbol(ZSymbol(ZKind.ZFULL, m_ord), c_full)
+        tw_sub[ZSymbol(ZKind.ZTWISTED, m_ord)] = expr.scaled(c_tw.inverse())
     target = rules[n]
     sym, rhs = solved_form(target)
     rhs = rhs.substitute(tw_sub)
-    bad = [s for s in rhs.symbols() if s.kind is not ZKind.ZFULL]
+    bad = sorted((s for s in rhs.symbols() if s.kind is not ZKind.ZFULL),
+                 key=ZSymbol.sort_key)
     if bad:
-        raise AssertionError(f"twisted symbols {bad} survived elimination")
+        raise EliminationError(
+            f"N={N} n={n}: twisted symbols {bad} survived elimination")
     if not rhs.is_homogeneous(n):
         raise AssertionError("elimination broke homogeneity")
     return SumRuleIdentity(N, n, sym, rhs, "Zfull")
-
-
-def identities_to_json(identities) -> str:
-    return json.dumps([i.to_json_dict() for i in identities], indent=2)

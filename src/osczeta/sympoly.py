@@ -37,13 +37,16 @@ class ZSymbol:
     conventionally 0 and their weighted degree is 0.
     """
 
-    __slots__ = ("kind", "order")
+    __slots__ = ("kind", "order", "_key", "_hash")
 
     def __init__(self, kind: ZKind, order: int):
         if order < 0:
             raise ValueError("order must be >= 0")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "order", order)
+        # symbols key every monomial dict, so sort key and hash are kept
+        object.__setattr__(self, "_key", (_KIND_ORDER[kind], order))
+        object.__setattr__(self, "_hash", hash((kind, order)))
 
     def __setattr__(self, *a):
         raise AttributeError("ZSymbol is immutable")
@@ -53,14 +56,14 @@ class ZSymbol:
         return self.order
 
     def sort_key(self):
-        return (_KIND_ORDER[self.kind], self.order)
+        return self._key
 
     def __eq__(self, other):
         return (isinstance(other, ZSymbol)
                 and self.kind is other.kind and self.order == other.order)
 
     def __hash__(self):
-        return hash((self.kind, self.order))
+        return self._hash
 
     def __repr__(self):
         return f"{self.kind.value}({self.order})"
@@ -76,7 +79,7 @@ def _mono_mul(a: tuple, b: tuple) -> tuple:
     for sym, e in b:
         d[sym] = d.get(sym, 0) + e
     return tuple(sorted(((s, e) for s, e in d.items() if e),
-                        key=lambda p: p[0].sort_key()))
+                        key=lambda p: p[0]._key))
 
 
 def _mono_weight(mono: tuple) -> int:
@@ -87,6 +90,25 @@ def _as_coeff(c) -> CycloNumber:
     if isinstance(c, CycloNumber):
         return c
     return rational(Fraction(c))
+
+
+def _add_into(acc: dict, terms: dict) -> None:
+    """acc += terms, in place."""
+    for mono, c in terms.items():
+        prev = acc.get(mono)
+        acc[mono] = c if prev is None else prev + c
+
+
+def _mul_into(acc: dict, ta: dict, tb: dict, scale: CycloNumber = None) -> None:
+    """acc += scale * (ta * tb), in place."""
+    for ma, ca in ta.items():
+        if scale is not None:
+            ca = ca * scale
+        for mb, cb in tb.items():
+            m = _mono_mul(ma, mb)
+            c = ca * cb
+            prev = acc.get(m)
+            acc[m] = c if prev is None else prev + c
 
 
 class SymPoly:
@@ -156,8 +178,7 @@ class SymPoly:
         if other is NotImplemented:
             return NotImplemented
         terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            terms[mono] = terms.get(mono, rational(0)) + c
+        _add_into(terms, other.terms)
         return SymPoly(terms)
 
     __radd__ = __add__
@@ -179,11 +200,7 @@ class SymPoly:
         if other is NotImplemented:
             return NotImplemented
         terms = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                m = _mono_mul(ma, mb)
-                c = ca * cb
-                terms[m] = terms.get(m, rational(0)) + c
+        _mul_into(terms, self.terms, other.terms)
         return SymPoly(terms)
 
     __rmul__ = __mul__
@@ -205,16 +222,19 @@ class SymPoly:
 
     def substitute(self, mapping: dict) -> "SymPoly":
         """Replace each ZSymbol key of mapping by a SymPoly value."""
-        out = SymPoly.zero()
+        powers = {}    # sym -> images of sym^1, sym^2, ..., each built once
+        acc = {}
         for mono, c in self.terms.items():
-            factor = SymPoly.constant(c)
+            # unmapped symbols ride along in the starting monomial
+            factor = SymPoly({tuple(p for p in mono if p[0] not in mapping): c})
             for sym, e in mono:
-                repl = mapping.get(sym)
-                base = SymPoly._coerce(repl) if repl is not None else SymPoly.symbol(sym)
-                for _ in range(e):
-                    factor = factor * base
-            out = out + factor
-        return out
+                if sym in mapping:
+                    pw = powers.setdefault(sym, [SymPoly._coerce(mapping[sym])])
+                    while len(pw) < e:
+                        pw.append(pw[-1] * pw[0])
+                    factor = factor * pw[e - 1]
+            _add_into(acc, factor.terms)
+        return SymPoly(acc)
 
     def eval_numeric(self, values: dict, dps: int = 50):
         """Numeric value given a ZSymbol -> number mapping (mpf/mpc)."""
@@ -274,58 +294,21 @@ class TruncSeries:
     def __setattr__(self, *a):
         raise AttributeError("TruncSeries is immutable")
 
-    @staticmethod
-    def constant(c, order: int) -> "TruncSeries":
-        return TruncSeries(order, [SymPoly._coerce(c)])
-
-    def __add__(self, other):
-        if not isinstance(other, TruncSeries):
-            other = TruncSeries.constant(other, self.order)
-        if other.order != self.order:
-            raise ValueError("mismatched truncation orders")
-        return TruncSeries(self.order,
-                           [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncSeries(self.order, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if not isinstance(other, TruncSeries):
-            other = TruncSeries.constant(other, self.order)
-        return self + (-other)
-
     def __mul__(self, other):
         if not isinstance(other, TruncSeries):
-            if isinstance(other, (int, Fraction, CycloNumber, SymPoly)):
-                c = SymPoly._coerce(other)
-                return TruncSeries(self.order, [a * c for a in self.coeffs])
             return NotImplemented
         if other.order != self.order:
             raise ValueError("mismatched truncation orders")
         M = self.order
-        out = [SymPoly.zero()] * (M + 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j in range(0, M - i + 1):
-                b = other.coeffs[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
+        out = []
+        for n in range(M + 1):
+            acc = {}
+            for i in range(n + 1):
+                _mul_into(acc, self.coeffs[i].terms, other.coeffs[n - i].terms)
+            out.append(SymPoly(acc))
         return TruncSeries(M, out)
 
     __rmul__ = __mul__
-
-    def rescale_argument(self, factor) -> "TruncSeries":
-        """x -> factor * x: coefficient n picks up factor^n."""
-        factor = _as_coeff(factor)
-        out = []
-        p = _as_coeff(1)
-        for c in self.coeffs:
-            out.append(c.scaled(p))
-            p = p * factor
-        return TruncSeries(self.order, out)
 
     def exp(self) -> "TruncSeries":
         """exp of a series with zero constant term, by the recurrence
@@ -335,12 +318,11 @@ class TruncSeries:
         M = self.order
         b = [SymPoly.constant(1)]
         for n in range(1, M + 1):
-            acc = SymPoly.zero()
+            acc = {}
             for k in range(1, n + 1):
-                a_k = self.coeffs[k]
-                if not a_k.is_zero():
-                    acc = acc + a_k.scaled(Fraction(k)) * b[n - k]
-            b.append(acc.scaled(Fraction(1, n)))
+                _mul_into(acc, self.coeffs[k].terms, b[n - k].terms,
+                          rational(Fraction(k, n)))
+            b.append(SymPoly(acc))
         return TruncSeries(M, b)
 
     def log(self) -> "TruncSeries":
@@ -350,10 +332,11 @@ class TruncSeries:
         M = self.order
         a = [SymPoly.zero()]
         for n in range(1, M + 1):
-            acc = self.coeffs[n].scaled(Fraction(n))
+            acc = dict(self.coeffs[n].terms)
             for k in range(1, n):
-                acc = acc - a[k].scaled(Fraction(k)) * self.coeffs[n - k]
-            a.append(acc.scaled(Fraction(1, n)))
+                _mul_into(acc, a[k].terms, self.coeffs[n - k].terms,
+                          rational(Fraction(-k, n)))
+            a.append(SymPoly(acc))
         return TruncSeries(M, a)
 
     def coefficient(self, n: int) -> SymPoly:

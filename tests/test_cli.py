@@ -3,10 +3,18 @@ and exit codes."""
 
 import dataclasses
 import json
+import os
 
 import pytest
 
-from osczeta import cli
+from osczeta import cli, sumrules
+
+# `osczeta derive --N <N> --nmax 9` stdout per degree, recorded with the
+# earlier Z+/Z- series-product derivation
+SNAPSHOT_PATH = os.path.join(os.path.dirname(__file__), "data",
+                             "derive_snapshot.json")
+with open(SNAPSHOT_PATH, encoding="utf-8") as _fh:
+    DERIVE_SNAPSHOT = json.load(_fh)
 
 
 def run(argv):
@@ -75,6 +83,46 @@ class TestDeriveCommand:
         # N=6 has symmetry order 4, so order 4 gains a full-basis restatement
         autonomous = [d for d in docs[1] if d.get("autonomous")]
         assert autonomous and autonomous[0]["classification"] == "Zfull"
+
+
+class TestDeriveSnapshot:
+    """The derive text is fixed byte for byte, for every degree 1..10."""
+
+    @pytest.mark.parametrize("N", sorted(DERIVE_SNAPSHOT["text"], key=int))
+    def test_text_is_byte_identical(self, N, capsys):
+        nmax = str(DERIVE_SNAPSHOT["nmax"])
+        assert run(["derive", "--N", N, "--nmax", nmax]) == 0
+        assert capsys.readouterr().out == DERIVE_SNAPSHOT["text"][N]
+
+
+class TestDeriveWork:
+    def test_one_derivation_per_degree(self, monkeypatch, capsys):
+        calls = []
+        original = sumrules.derive_sum_rules
+
+        def counting(N, n_max):
+            calls.append((N, n_max))
+            return original(N, n_max)
+
+        # the CLI and the elimination each bind their own name
+        monkeypatch.setattr(cli, "derive_sum_rules", counting)
+        monkeypatch.setattr(sumrules, "derive_sum_rules", counting)
+        assert run(["derive", "--N", "1,3,6", "--nmax", "9"]) == 0
+        assert "full-value basis" in capsys.readouterr().out
+        assert calls == [(1, 9), (3, 9), (6, 9)]
+
+    @pytest.mark.parametrize("nmax", [2, 4])
+    def test_harmonic_restatements_are_skipped(self, nmax, capsys):
+        # N=2 restatements keep ZP(1) = pi/4, which nothing eliminates
+        assert run(["derive", "--N", "2", "--nmax", str(nmax)]) == 0
+        out = capsys.readouterr().out
+        assert f"N=2 n={nmax}: 1*Z({nmax}) = " in out
+        assert "full-value basis" not in out
+        assert run(["derive", "--N", "2,4", "--nmax", str(nmax),
+                    "--format", "json"]) == 0
+        docs = json.loads(capsys.readouterr().out)
+        assert not any(d.get("autonomous") for d in docs[0])
+        assert len(docs[0]) == nmax + 1
 
 
 class TestTableCommand:

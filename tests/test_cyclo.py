@@ -160,3 +160,49 @@ def test_hash_across_conductors_and_rationals():
     # rational elements keep the hash of the rational they equal
     assert hash(rational(Fraction(3, 7)).lift(12)) == hash(Fraction(3, 7))
     assert hash(sqrt2() ** 2) == hash(2)
+
+
+def test_cyclotomic_polynomials_and_mobius_match_sympy():
+    import sympy
+
+    from osczeta.cyclo import _min_poly_coeffs, _mobius
+
+    x = sympy.Symbol("x")
+    for m in range(1, 121):
+        poly = sympy.Poly(sympy.cyclotomic_poly(m, x), x)
+        assert _min_poly_coeffs(m) == tuple(
+            int(c) for c in reversed(poly.all_coeffs()))
+        assert _mobius(m) == int(sympy.mobius(m))
+
+
+def test_cli_import_does_not_load_sympy():
+    import subprocess
+    import sys
+
+    probe = "import sys, osczeta.cli; print('sympy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
+@given(triples())
+@settings(max_examples=40, deadline=None)
+def test_canonical_integer_form(abc):
+    import math
+
+    a, b, _ = abc
+    for x in (a * b, a + b, a * Fraction(3, 4), a.conjugate()):
+        assert x.den > 0 and len(x.num) == len(x.coeffs)
+        assert math.gcd(x.den, *x.num) == 1
+        assert x == CycloNumber(x.m, x.coeffs)
+
+
+def test_rational_operand_keeps_conductor():
+    z = CycloNumber.zeta(10, 3)
+    q = rational(Fraction(-2, 7))
+    for x in (z * q, q * z, z + q, q + z, z - q, z * 5, z / 2):
+        assert x.m == 10
+    assert (z * q).coeffs == tuple(c * Fraction(-2, 7) for c in z.coeffs)
+    assert (q + q).m == 1 and (q * q) == rational(Fraction(4, 49))
+    # a non-rational operand of another conductor still lifts both
+    assert (z * CycloNumber.zeta(4)).m == 20

@@ -20,7 +20,7 @@ from osczeta.cyclo import (
     sqrt5,
     two_i_sin_pi_frac,
 )
-from osczeta.errors import NotAMultipleError
+from osczeta.errors import EliminationError, NotAMultipleError
 from osczeta.sumrules import (
     autonomous_full_identity,
     classify_lhs,
@@ -320,6 +320,37 @@ class TestHigherIdentities:
             autonomous_full_identity(3, 4)
         with pytest.raises(NotAMultipleError):
             autonomous_full_identity(6, 0)
+
+
+class TestDerivationReuse:
+    @pytest.mark.parametrize("N", [1, 3, 4, 6])
+    def test_lower_orders_are_a_prefix(self, N):
+        M = 8
+        full = derive_sum_rules(N, M)
+        for n in range(M):
+            short = derive_sum_rules(N, n)
+            assert short == full[:n + 1]
+            assert [i.to_text() for i in short] == \
+                [i.to_text() for i in full[:n + 1]]
+
+    @pytest.mark.parametrize("N, n", [(1, 6), (3, 5), (4, 6), (6, 8)])
+    def test_elimination_accepts_derived_rules(self, N, n):
+        given = autonomous_full_identity(N, n, rules(N))
+        assert given == autonomous_full_identity(N, n)
+        assert given.to_text() == autonomous_full_identity(N, n).to_text()
+
+    def test_elimination_rejects_short_or_foreign_rules(self):
+        with pytest.raises(ValueError):
+            autonomous_full_identity(3, 5, rules(3, 4))
+        with pytest.raises(ValueError):
+            autonomous_full_identity(3, 5, rules(4))
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_harmonic_elimination_names_survivors(self, n):
+        # ZP(1) = pi/4 is a constant: the degenerate order-1 identity
+        # cannot trade it for full values
+        with pytest.raises(EliminationError, match=r"ZP\(1\)"):
+            autonomous_full_identity(2, n)
 
 
 class TestHarmonicReduction:

@@ -99,13 +99,6 @@ class TestTruncSeries:
         assert p.coefficient(1) == SymPoly.symbol(Z1) + SymPoly.symbol(T1)
         assert p.coefficient(2) == SymPoly.symbol(Z1) * SymPoly.symbol(T1)
 
-    def test_rescale_argument(self):
-        w = sqrt2()
-        s = TruncSeries(2, [1, SymPoly.symbol(Z1), SymPoly.symbol(Z2)])
-        r = s.rescale_argument(w)
-        assert r.coefficient(1) == SymPoly.symbol(Z1, w)
-        assert r.coefficient(2) == SymPoly.symbol(Z2, rational(2))
-
     def test_exp_requires_zero_constant(self):
         with pytest.raises(ValueError):
             TruncSeries(2, [1, SymPoly.symbol(Z1)]).exp()
