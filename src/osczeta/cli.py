@@ -20,8 +20,7 @@ from .precision import DEFAULT_DPS
 from .spectrum import eigenvalues
 from .sumrules import (autonomous_full_identity, classify_lhs,
                        derive_sum_rules, symmetry_order)
-from .verify import SPECTRAL_DPS_CAP, run_battery
-from .zetafns import zeta_em
+from .verify import compute_spectra, em_zeta_table, run_battery, spectral_dps
 
 DEFAULT_N_LIST = (1, 2, 3, 6)
 
@@ -109,13 +108,9 @@ def _emit(cfg: RunConfig, text: str):
         print(text)
 
 
-def _spectral_dps(cfg, N):
-    return min(cfg.digits, 45 if N == 1 else SPECTRAL_DPS_CAP)
-
-
 def cmd_spectrum(cfg: RunConfig) -> int:
     parities = ("+", "-") if cfg.parity == "both" else (cfg.parity,)
-    records = [eigenvalues(N, p, cfg.count, _spectral_dps(cfg, N))
+    records = [eigenvalues(N, p, cfg.count, spectral_dps(N, cfg.digits))
                for N in cfg.n_list for p in parities]
     if cfg.fmt == "json":
         _emit(cfg, json.dumps([json.loads(r.to_json()) for r in records],
@@ -139,22 +134,16 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 def cmd_zeta(cfg: RunConfig) -> int:
     rows = []
     for N in cfg.n_list:
-        dps = _spectral_dps(cfg, N)
-        recs = (eigenvalues(N, "+", cfg.count, dps),
-                eigenvalues(N, "-", cfg.count, dps))
-        mu = mp.mpf(N + 2) / (2 * N)
-        for n in range(1, cfg.n_max + 1):
-            for kind in ("full", "twisted", "plus", "minus"):
-                if kind != "twisted" and n <= mu:
-                    continue
-                rows.append(zeta_em(N, kind, n, recs, dps=dps))
+        recs = compute_spectra(N, cfg.count, cfg.digits)
+        table = em_zeta_table(N, recs, cfg.n_max, spectral_dps(N, cfg.digits))
+        rows.extend(table.values())
     if cfg.fmt == "json":
         _emit(cfg, json.dumps([r.to_row() for r in rows], indent=2))
     elif cfg.fmt == "csv":
         lines = ["N,kind,order,value,method,certified_digits"]
         for r in rows:
             d = r.to_row()
-            lines.append(f"{d['N']},{d['kind']},{d['order']},{d['value']},"
+            lines.append(f"{d['N']},{d['kind']},{d['n']},{d['value']},"
                          f"{d['method']},{d['certified_digits']}")
         _emit(cfg, "\n".join(lines))
     else:

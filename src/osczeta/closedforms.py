@@ -13,8 +13,9 @@ import mpmath as mp
 from fractions import Fraction
 
 from .errors import UnknownIdentifierError
-from .numerics import (airy_eval, airy_taylor_coefficient, euler_number,
-                       gamma, genocchi_number, hyper_4f3)
+from .numerics import (airy_eval, airy_taylor_coefficient,
+                       alternating_hurwitz, euler_number, gamma,
+                       genocchi_number, hyper_4f3)
 from .precision import DEFAULT_DPS, rounded, working
 
 F = Fraction
@@ -94,11 +95,11 @@ def dirichlet_lambda(s, dps: int = DEFAULT_DPS):
 
 
 def dirichlet_beta(s, dps: int = DEFAULT_DPS):
-    """beta(s) = sum (-1)^k (2k+1)^{-s}, via the Lerch transcendent
-    (stable even at s=1 where the two Hurwitz halves diverge)."""
+    """beta(s) = sum (-1)^k (2k+1)^{-s} = 2^{-s} times the alternating
+    Hurwitz sum at a = 1/2 (digamma form at s=1, where beta(1) = pi/4)."""
     with working(dps):
-        v = mp.mpf(2) ** (-mp.mpf(s)) * mp.lerchphi(-1, mp.mpf(s), mp.mpf("0.5"))
-    return rounded(mp.re(v), dps)
+        v = mp.mpf(2) ** (-mp.mpf(s)) * alternating_hurwitz(s, mp.mpf("0.5"))
+    return rounded(v, dps)
 
 
 def harmonic_zeta(kind: str, n: int, dps: int = DEFAULT_DPS):

@@ -117,6 +117,9 @@ class CycloNumber:
     def __setattr__(self, *a):
         raise AttributeError("CycloNumber is immutable")
 
+    def __reduce__(self):
+        return _make, (self.m, self.num, self.den)
+
     # -- construction helpers ------------------------------------------------
 
     @staticmethod

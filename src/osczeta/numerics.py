@@ -1,8 +1,8 @@
 """Arbitrary-precision special functions and exact integer sequences.
 
-Gamma, the Airy function Ai and its derivative, Bernoulli / Euler / Genocchi
-numbers, and the generalized hypergeometric 4F3 at unit argument.  Everything
-is pure and deterministic given (inputs, dps).
+Gamma, the alternating Hurwitz sum, the Airy function Ai and its derivative,
+Bernoulli / Euler / Genocchi numbers, and the generalized hypergeometric 4F3
+at unit argument.  Everything is pure and deterministic given (inputs, dps).
 """
 
 from __future__ import annotations
@@ -40,6 +40,33 @@ def gamma(x, dps: int = DEFAULT_DPS):
                 raise GammaPoleError(f"gamma pole at {x}")
         val = mpmath.gamma(x)
     return rounded(val, dps)
+
+
+# --------------------------------------------------------------------------
+# Alternating Hurwitz sum
+# --------------------------------------------------------------------------
+
+def alternating_hurwitz(s, a):
+    """sum_{k>=0} (-1)^k (k+a)^(-s) for real s and a > 0, at the ambient
+    precision, as 2^(-s) [zeta(s, a/2) - zeta(s, (a+1)/2)]; the identity
+    continues analytically to every s != 1, and at s = 1 the poles of the
+    two halves cancel to (psi((a+1)/2) - psi(a/2)) / 2."""
+    s, a = mpf(s), mpf(a)
+    if a <= 0:
+        raise ValueError("alternating_hurwitz requires a > 0")
+    # the halves cancel by about |s-1|^-1 (pole) and a (close arguments);
+    # mpmath.zeta sums to an absolute tolerance, so a value near a^-s also
+    # needs its magnitude back as extra bits
+    bits = max(0, mpmath.mag(a))
+    extra = 16 + bits + max(0, int(s * bits))
+    if s == 1:
+        with mpmath.extraprec(extra):
+            val = (mpmath.psi(0, (a + 1) / 2) - mpmath.psi(0, a / 2)) / 2
+    else:
+        with mpmath.extraprec(extra + max(0, -mpmath.mag(s - 1))):
+            val = mpmath.power(2, -s) * (mpmath.zeta(s, a / 2)
+                                         - mpmath.zeta(s, (a + 1) / 2))
+    return +val
 
 
 # --------------------------------------------------------------------------

@@ -51,6 +51,9 @@ class ZSymbol:
     def __setattr__(self, *a):
         raise AttributeError("ZSymbol is immutable")
 
+    def __reduce__(self):
+        return ZSymbol, (self.kind, self.order)
+
     @property
     def weight(self) -> int:
         return self.order
@@ -128,6 +131,9 @@ class SymPoly:
 
     def __setattr__(self, *a):
         raise AttributeError("SymPoly is immutable")
+
+    def __reduce__(self):
+        return SymPoly, (self.terms,)
 
     # -- construction --------------------------------------------------------
 
@@ -293,6 +299,9 @@ class TruncSeries:
 
     def __setattr__(self, *a):
         raise AttributeError("TruncSeries is immutable")
+
+    def __reduce__(self):
+        return TruncSeries, (self.order, self.coeffs)
 
     def __mul__(self, other):
         if not isinstance(other, TruncSeries):

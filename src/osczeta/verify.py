@@ -108,8 +108,14 @@ def _residual_check(check_id, anchor, residual, tol) -> CheckRecord:
         tolerance=_fmt(tol, 3), passed=bool(residual <= mp.mpf(tol)))
 
 
+def spectral_dps(N: int, digits: int) -> int:
+    """Spectral precision for a run at `digits`: capped at SPECTRAL_DPS_CAP,
+    except N=1, whose Airy-zero spectra stay cheap up to 45 digits."""
+    return min(digits, 45 if N == 1 else SPECTRAL_DPS_CAP)
+
+
 def compute_spectra(N: int, count: int, digits: int):
-    dps = min(digits, SPECTRAL_DPS_CAP) if N != 1 else min(digits, 45)
+    dps = spectral_dps(N, digits)
     return (eigenvalues(N, "+", count, dps),
             eigenvalues(N, "-", count, dps))
 
@@ -267,7 +273,7 @@ def _airy_checks(digits):
     rho_g = cf("RO", None, digits)
     # deep spectra are cheap here (Airy-zero fast path); the EM route must
     # hit the exact values on its own, independent of the closed forms
-    dps = min(digits, 45)
+    dps = spectral_dps(1, digits)
     rec30 = (eigenvalues(1, "+", 30, dps), eigenvalues(1, "-", 30, dps))
     out.append(_check("N1.zplus3.em", "Z+(3) = 1 from a 30-eigenvalue sum",
                       1, zeta_em(1, "plus", 3, rec30[0], dps=dps).value,
@@ -368,7 +374,7 @@ def _cubic_checks(recs, table, digits):
     # reference EM run with eigenvalues k <= 9 (5 per parity)
     sub = tuple(SpectrumRecord(3, r.parity, r.eigenvalues[:5],
                                r.certified_digits[:5]) for r in recs)
-    dps9 = min(digits, SPECTRAL_DPS_CAP)
+    dps9 = spectral_dps(3, digits)
     for anchor, kind, n, quote in (
             ("Z-(3) EM reference 0.025878", "minus", 3, "0.025878"),
             ("Z(3) EM reference 0.9646441", "full", 3, "0.9646441"),
@@ -423,7 +429,7 @@ def run_battery(n_list=(1, 2, 3, 6), digits: int = DEFAULT_DPS,
             t0 = time.time()
             recs = spectra[N] if spectra and N in spectra \
                 else compute_spectra(N, eigencount, digits)
-            dps = min(digits, SPECTRAL_DPS_CAP) if N != 1 else min(digits, 45)
+            dps = spectral_dps(N, digits)
             # N >= 3 feeds the determinant series, which needs deep zeta tables
             table = em_zeta_table(N, recs, 26 if N >= 3 else 6, dps)
             records.extend(_common_checks(N, recs, table, digits))

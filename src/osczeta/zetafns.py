@@ -33,7 +33,8 @@ from .errors import (
     SummationPoleError,
     TailBoundError,
 )
-from .numerics import AIRY_ZERO_COEFFS, AIRY_DERIV_ZERO_COEFFS
+from .numerics import (AIRY_DERIV_ZERO_COEFFS, AIRY_ZERO_COEFFS,
+                       alternating_hurwitz)
 from .precision import DEFAULT_DPS, rounded, working
 from .spectrum import SpectrumRecord
 
@@ -289,8 +290,8 @@ def _class_tail_sum(terms, k_start, parity_of_k):
 
 def _lattice_tail_sum(terms, k_start, alternating):
     """sum over all k >= k_start of [(-1)^k] sum_r coeff_r (k+1/2)^(-e_r).
-    The alternating case uses the Lerch transcendent, which stays finite
-    even where the one-sided Hurwitz sums diverge."""
+    The alternating case is a difference of Hurwitz zeta values, which stays
+    finite for exponents e_r <= 1 where the one-sided sums diverge."""
     acc = mpf(0)
     acc_abs = mpf(0)
     sign = -1 if (alternating and k_start % 2) else 1
@@ -298,7 +299,7 @@ def _lattice_tail_sum(terms, k_start, alternating):
         if c == 0:
             continue
         if alternating:
-            z = sign * mpmath.lerchphi(-1, e, k_start + mpf(1) / 2)
+            z = sign * alternating_hurwitz(e, k_start + mpf(1) / 2)
         else:
             z = mpmath.zeta(e, k_start + mpf(1) / 2)
         acc += c * z

@@ -16,6 +16,13 @@ SNAPSHOT_PATH = os.path.join(os.path.dirname(__file__), "data",
 with open(SNAPSHOT_PATH, encoding="utf-8") as _fh:
     DERIVE_SNAPSHOT = json.load(_fh)
 
+# `osczeta verify --format json` stdout for small N=1 and N=2 runs, and the
+# default battery's JSON, recorded with mpmath's lerchphi on the alternating
+# routes that the alternating Hurwitz kernel replaces
+with open(os.path.join(os.path.dirname(__file__), "data",
+                       "verify_snapshot.json"), encoding="utf-8") as _fh:
+    VERIFY_SNAPSHOT = json.load(_fh)
+
 
 def run(argv):
     return cli.main(argv)
@@ -93,6 +100,19 @@ class TestDeriveSnapshot:
         nmax = str(DERIVE_SNAPSHOT["nmax"])
         assert run(["derive", "--N", N, "--nmax", nmax]) == 0
         assert capsys.readouterr().out == DERIVE_SNAPSHOT["text"][N]
+
+
+class TestVerifySnapshot:
+    """The verify JSON is fixed byte for byte."""
+
+    @pytest.mark.parametrize("case", VERIFY_SNAPSHOT["verify"],
+                             ids=lambda c: f"N{c['argv'][2]}-d{c['argv'][4]}")
+    def test_cli_json_is_byte_identical(self, case, capsys):
+        assert run(case["argv"]) == 0
+        assert capsys.readouterr().out == case["stdout"]
+
+    def test_default_battery_is_byte_identical(self, battery):
+        assert battery.to_json() == VERIFY_SNAPSHOT["battery"]
 
 
 class TestDeriveWork:
@@ -186,6 +206,17 @@ class TestZetaCommand:
         # ZP(1) = pi/4 and Z(2) = pi^2/8 from the spectrum alone
         assert "0.785398" in out
         assert "1.2337" in out
+
+    def test_csv_rows(self, capsys):
+        assert run(["zeta", "--N", "2", "--count", "4", "--digits", "12",
+                    "--nmax", "2", "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0] == "N,kind,order,value,method,certified_digits"
+        # twisted at n = 1, then all four kinds at n = 2
+        assert [ln.split(",")[1:3] for ln in lines[1:]] == [
+            ["twisted", "1.0"], ["full", "2.0"], ["twisted", "2.0"],
+            ["plus", "2.0"], ["minus", "2.0"]]
+        assert lines[1].startswith("2,twisted,1.0,0.785398163397,")
 
 
 class TestVerifyCommand:

@@ -67,6 +67,11 @@ class TestCrossChecks:
             assert abs(cf.dirichlet_beta(2, 55) - mp.catalan) \
                 < mp.mpf("1e-48")
 
+    def test_dirichlet_beta_one(self):
+        # s = 1 is the pole of both Hurwitz halves of the alternating sum
+        with mp.workdps(60):
+            assert abs(cf.dirichlet_beta(1, 55) - mp.pi / 4) < mp.mpf("1e-50")
+
     def test_airy_zetas_vs_spectrum_definition(self):
         # closed-form log-derivative route vs a long direct eigenvalue sum
         with mp.workdps(60):

@@ -12,6 +12,7 @@ from osczeta.numerics import (
     airy_negative_zero,
     airy_taylor_coefficient,
     airy_zero_asymptotic,
+    alternating_hurwitz,
     bernoulli_number,
     euler_number,
     genocchi_number,
@@ -61,6 +62,49 @@ class TestIntegerSequences:
         assert integer_sequence(IntegerSequenceKind.GENOCCHI, 6) == \
             genocchi_number(6)
         assert integer_sequence(IntegerSequenceKind.EULER, 4) == 5
+
+
+def _alternating_partial_sum(s, a, digits):
+    """sum_{k<K} (-1)^k (k+a)^(-s), with K large enough that the first
+    omitted term, which bounds the remainder, is below 10^-digits of the
+    first term."""
+    K = int(a * mp.mpf(10) ** (mp.mpf(digits) / s)) + 1
+    return mp.fsum((-1) ** k * (k + a) ** (-s) for k in range(K))
+
+
+class TestAlternatingHurwitz:
+    # below the pole, near it, on it (digamma form) and beyond
+    @pytest.mark.parametrize("s", ["2/3", "31/32", "1", "2", "5/2", "3",
+                                   "7/2"])
+    @pytest.mark.parametrize("a", ["1/2", "11/2", "61/2"])
+    def test_against_lerchphi(self, s, a):
+        with mp.workdps(20):
+            s, a = mp.mpmathify(Fraction(s)), mp.mpmathify(Fraction(a))
+            ref = mp.re(mp.lerchphi(-1, s, a))
+            assert abs(alternating_hurwitz(s, a) / ref - 1) < mp.mpf("1e-18")
+
+    # mpmath's lerchphi rounds these tiny values to an absolute error, so
+    # the reference is a direct partial sum with a bounded remainder
+    @pytest.mark.parametrize("s", ["12", "25/2", "25", "79/2", "40"])
+    @pytest.mark.parametrize("a", ["1/2", "11/2", "61/2"])
+    def test_large_order_against_direct_sum(self, s, a):
+        with mp.workdps(30):
+            s, a = mp.mpmathify(Fraction(s)), mp.mpmathify(Fraction(a))
+            ref = _alternating_partial_sum(s, a, 24)
+            assert abs(alternating_hurwitz(s, a) / ref - 1) < mp.mpf("1e-20")
+
+    def test_digamma_branch_is_continuous(self):
+        # s = 1 takes the digamma form; its neighbours take the zeta form
+        with mp.workdps(30):
+            a = mp.mpf("5.5")
+            at = alternating_hurwitz(1, a)
+            for ds in ("1e-12", "-1e-12"):
+                near = alternating_hurwitz(1 + mp.mpf(ds), a)
+                assert abs(near - at) < mp.mpf("1e-11")
+
+    def test_rejects_nonpositive_shift(self):
+        with pytest.raises(ValueError):
+            alternating_hurwitz(2, 0)
 
 
 class TestAiry:

@@ -4,6 +4,8 @@ Every expected right-hand side below is written with exact cyclotomic
 coefficients, and comparisons are zero-tolerance SymPoly equalities.
 """
 
+import copy
+import pickle
 from fractions import Fraction
 from functools import lru_cache
 
@@ -12,6 +14,7 @@ import pytest
 
 from osczeta.closedforms import closed_form_eval
 from osczeta.cyclo import (
+    CycloNumber,
     cos_pi_frac,
     golden_ratio,
     imaginary_unit,
@@ -29,7 +32,7 @@ from osczeta.sumrules import (
     solved_form,
     symmetry_order,
 )
-from osczeta.sympoly import SymPoly, ZKind, ZSymbol
+from osczeta.sympoly import SymPoly, TruncSeries, ZKind, ZSymbol
 
 
 def S(kind, n, coeff=1):
@@ -351,6 +354,24 @@ class TestDerivationReuse:
         # cannot trade it for full values
         with pytest.raises(EliminationError, match=r"ZP\(1\)"):
             autonomous_full_identity(2, n)
+
+
+class TestCopyAndPickle:
+    @pytest.mark.parametrize("copier", [
+        copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+        ids=["deepcopy", "pickle"])
+    def test_identities_round_trip(self, copier):
+        rules = derive_sum_rules(6, 6)
+        again = copier(rules)
+        assert again == rules
+        assert [hash(i) for i in again] == [hash(i) for i in rules]
+        assert [i.to_text() for i in again] == [i.to_text() for i in rules]
+
+    def test_series_round_trip(self):
+        series = TruncSeries(3, [0, S(ZKind.ZTWISTED, 1,
+                                      CycloNumber.zeta(8, 3))]).exp()
+        assert pickle.loads(pickle.dumps(series)) == series
+        assert copy.deepcopy(series) == series
 
 
 class TestHarmonicReduction:
