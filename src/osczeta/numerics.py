@@ -1,8 +1,14 @@
 """Arbitrary-precision special functions and exact integer sequences.
 
 Gamma, the alternating Hurwitz sum, the Airy function Ai and its derivative,
-Bernoulli / Euler / Genocchi numbers, and the generalized hypergeometric 4F3
-at unit argument.  Everything is pure and deterministic given (inputs, dps).
+the negative zeros of Ai and Ai', Bernoulli / Euler / Genocchi numbers, and
+the generalized hypergeometric 4F3 at unit argument.  Everything is pure and
+deterministic given (inputs, dps).
+
+The package's one Taylor kernel, `_taylor_step`, lives here: the shooting
+solver of `spectrum` integrates on it, and so does the march of Ai(-t) that
+finds the Airy zeros (the N=1 spectra).  `airy_eval` keeps its own power and
+asymptotic series, an independent route to Ai.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import mpmath
 from mpmath import mpf
 
 from .errors import (
+    CertificationError,
     DivergentSeriesError,
     GammaPoleError,
     PrecisionUnreachableError,
@@ -130,6 +137,53 @@ def integer_sequence(kind: IntegerSequenceKind, index: int):
 
 
 # --------------------------------------------------------------------------
+# Integer fixed-point Taylor kernel
+# --------------------------------------------------------------------------
+
+def _taylor_step(u, P, tol_h, starts, h2):
+    """Advance psi'' = p(q) psi by one step h from q0, p a polynomial, with
+    the local Taylor recurrence on scaled terms d_k = c_k h^k, integers in
+    fixed point 2^-P: d_{k+2} = (sum_j u_j d_{k-j} >> P) // ((k+1)(k+2)),
+    where u_j = p_j h^(2+j) for p(q0 + s) = sum_j p_j s^j.  The shooting
+    solver has p = q^N - E, so u_j = C(N,j) q0^(N-j) h^(2+j) and u_0 is
+    reduced by E h^2; the Airy march has p = -t, so u = [-t0 h^2, -h^3].
+    `starts` holds (d_0, d_1) of psi, then optionally of dpsi/dE, whose
+    terms have the extra source -h2 d_k (h2 = h^2).  Returns value and
+    h * derivative at q0 + h for each series.  Only the psi terms, against
+    `tol_h` = tol * |h|, decide convergence."""
+    n = len(u)
+    series = [list(pair) for pair in starts]
+    d = series[0]
+    scale = max(abs(d[0]), abs(d[1]))
+    limit = tol_h * scale >> P
+    k = 0
+    prev_small = False
+    while k <= 400:
+        # terms d_k, d_{k-1}, ..., d_{k-n+1} against u_0 ... u_{n-1}
+        window = slice(k, k - n, -1) if k >= n else slice(k, None, -1)
+        den = (k + 1) * (k + 2)
+        source = 0
+        for s in series:
+            s.append(((sum(map(int.__mul__, u, s[window])) - source) >> P) // den)
+            source = h2 * d[k]
+        k += 1
+        size = abs(d[-1])
+        if size > scale:
+            scale = size
+            limit = tol_h * scale >> P
+        # with |h| <= 1/2, (k+1)|d| < tol*scale*|h| bounds both the value
+        # term |d| and the derivative term (k+1)|d|/|h| by tol*scale
+        small = (k + 1) * size < limit
+        # parity of the potential can zero out every other coefficient, so a
+        # single tiny term is not evidence of convergence
+        if k > 4 and small and prev_small:
+            break
+        prev_small = small
+    return [v for s in series
+            for v in (sum(s), sum(map(int.__mul__, range(len(s)), s)))]
+
+
+# --------------------------------------------------------------------------
 # Airy function
 # --------------------------------------------------------------------------
 
@@ -171,7 +225,7 @@ def _airy_taylor(x, dps: int):
         xf = mpf(1)          # x^{3k}
         xg = x               # x^{3k+1}
         k = 0
-        biggest = mpf(1)
+        kmin = abs(x) ** mpf(1.5) + 3   # past the peak term
         while True:
             k += 1
             cf = cf / ((3 * k) * (3 * k - 1))
@@ -184,9 +238,14 @@ def _airy_taylor(x, dps: int):
             g += tg
             fp += (3 * k) * cf * xf / x if x != 0 else mpf(0)
             gp += (3 * k + 1) * cg * xg / x if x != 0 else mpf(0)
-            biggest = max(biggest, abs(tf), abs(tg))
-            if abs(tf) < tol * biggest and abs(tg) < tol * biggest and 3 * k > 3 * abs(x) ** mpf(1.5) + 9:
-                break
+            if k > kmin:
+                # the terms run up to about exp(xi) times the result, so
+                # they stop against the result (Ai and Ai' share no zero)
+                terms = (abs(tf) + abs(tg)) * (1 + (3 * k + 1) / abs(x)) \
+                    if x != 0 else 0
+                scale = abs(ai0 * f + aip0 * g) + abs(ai0 * fp + aip0 * gp)
+                if terms < tol * scale:
+                    break
         val = ai0 * f + aip0 * g
         der = ai0 * fp + aip0 * gp
     return rounded(val, dps), rounded(der, dps)
@@ -324,30 +383,90 @@ def airy_zero_asymptotic(k: int, derivative: int, dps: int = DEFAULT_DPS):
     return rounded(val, dps)
 
 
-def airy_negative_zero(k: int, derivative: int = 0, dps: int = DEFAULT_DPS):
-    """Magnitude of the k-th (1-based) negative zero of Ai (or Ai').
+def airy_negative_zeros(count: int, derivative: int = 0,
+                        dps: int = DEFAULT_DPS) -> list:
+    """Magnitudes of the first `count` negative zeros of Ai (or Ai'), in order.
 
-    Newton refinement of the asymptotic estimate, one (Ai, Ai') pass a step.
+    One march of y(t) = Ai(-t), y'' = -t y, from t = 0 on the integer Taylor
+    kernel with steps h = min(1/4, 1/(2 sqrt t)).  The phase advances by at
+    most 0.5 rad a step, so a step holds at most one zero of y and one of
+    y', and the k-th sign change of y (or y') on the grid is the k-th zero.
+    Each zero is found by Newton on the local Taylor step from the start of
+    its grid step and certified by a sign change across
+    x (1 +- 10^-(dps+4)/4).  An iterate that leaves its grid step, a missing
+    sign change, or a march that runs past the asymptotic place of its last
+    zero raises CertificationError.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    with working(dps, 5):
-        x = airy_zero_asymptotic(k, derivative, dps + GUARD)
-        tol = mpf(10) ** (-(dps + 5))
-        for _ in range(60):
-            ai, aip = _airy_pair(-x, dps + GUARD)
-            if derivative == 0:
-                f, fp = ai, -aip
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    if derivative not in (0, 1):
+        raise ValueError("derivative must be 0 or 1")
+    with working(dps, 15) as ctx:
+        P = ctx.prec + 8
+        tol = int(mpmath.ldexp(mpf(10) ** (-(dps + GUARD + 10)), P))
+        delta = int(mpmath.ldexp(mpf(10) ** (-(dps + 4)) / 4, P))
+
+        def local(t, y, yp, s):
+            """(y, y') at t + s from (y, y') at t, all in fixed point."""
+            if s == 0:
+                return y, yp
+            u = [-(t * s * s >> 2 * P), -(s * s * s >> 2 * P)]
+            val, hder = _taylor_step(u, P, tol * abs(s) >> P,
+                                     [(y, yp * s >> P)], s * s >> P)
+            return val, (hder << P) // s
+
+        def root(t, h, y, yp, s):
+            """Zero of y (or y') in the grid step [t, t + h], from t + s."""
+            for _ in range(60):
+                val, der = local(t, y, yp, s)
+                # Newton on y, or on y' with y'' = -(t + s) y
+                step = (-((val << P) // der) if derivative == 0
+                        else (der << 2 * P) // ((t + s) * val))
+                s += step
+                if not 0 <= s <= h:
+                    raise CertificationError(
+                        "Airy zero Newton left its grid step at "
+                        f"t = {t / (1 << P):.6g}")
+                if abs(step) << P < delta * (t + s):
+                    break
             else:
-                # Ai''(y) = y Ai(y), so d/dx Ai'(-x) = -Ai''(-x) = x Ai(-x)
-                f, fp = aip, x * ai
-            step = f / fp
-            x -= step
-            if abs(step) < tol * x:
-                break
-        else:
-            raise PrecisionUnreachableError("Airy zero Newton did not converge")
-    return rounded(x, dps)
+                raise CertificationError("Airy zero Newton did not converge")
+            x = t + s
+            dx = x * delta >> P
+            lo = local(t, y, yp, s - dx)[derivative]
+            hi = local(t, y, yp, s + dx)[derivative]
+            if lo * hi > 0:
+                raise CertificationError(
+                    f"no sign change around zero {len(zeros) + 1} of "
+                    + ("Ai'(-t)" if derivative else "Ai(-t)"))
+            return x
+
+        t = 0
+        y = int(mpmath.ldexp(airy_taylor_coefficient(0, ctx.dps), P))
+        yp = -int(mpmath.ldexp(airy_taylor_coefficient(1, ctx.dps), P))
+        zeros = []
+        # the asymptotic zeros (3 pi/8 (4k - 1))^(2/3) bound where the march
+        # must have met them all; a march that runs past has lost its solution
+        t_end = int(mpmath.ldexp((1.5 * math.pi * count) ** (2 / 3) + 2, P))
+        while len(zeros) < count:
+            if t > t_end:
+                raise CertificationError(
+                    f"Airy march found {len(zeros)} of {count} zeros by "
+                    f"t = {t / (1 << P):.6g}")
+            h = int(mpmath.ldexp(
+                min(0.25, 0.5 / math.sqrt(max(t / (1 << P), 1.0))), P))
+            y_b, yp_b = local(t, y, yp, h)
+            fa, fb = (y, y_b) if derivative == 0 else (yp, yp_b)
+            if (fa < 0) != (fb < 0):
+                zeros.append(root(t, h, y, yp, h * fa // (fa - fb)))
+            t, y, yp = t + h, y_b, yp_b
+    with mpmath.workdps(dps):
+        return [mpf((x, -P)) for x in zeros]
+
+
+def airy_negative_zero(k: int, derivative: int = 0, dps: int = DEFAULT_DPS):
+    """Magnitude of the k-th (1-based) negative zero of Ai (or Ai')."""
+    return airy_negative_zeros(k, derivative, dps)[-1]
 
 
 # --------------------------------------------------------------------------

@@ -4,16 +4,18 @@ The Neumann condition at q=0 (parity '+') selects the even eigenfunctions of
 the full-line operator, the Dirichlet condition (parity '-') the odd ones.
 Eigenvalues are found by matching an outward power-series integration from
 q=0 against an inward integration carrying decaying initial data.  One
-kernel does all the integration: a high-order Taylor recurrence on Python
-integers in fixed point, which on request also carries dpsi/dE.  The
-matching Wronskian is bracketed on a semiclassical (Bohr-Sommerfeld) grid at
-low precision, then polished by Newton steps that double the precision each
-time.  Each accepted eigenvalue is certified by a Wronskian sign change
-across a relative bracket of 10^-(dps+4)/2 at full precision and by
-counting eigenfunction nodes.
+kernel does all the integration: `numerics._taylor_step`, a high-order
+Taylor recurrence on Python integers in fixed point, which on request also
+carries dpsi/dE.  The matching Wronskian is bracketed on a semiclassical
+(Bohr-Sommerfeld) grid at low precision, then polished by Newton steps that
+double the precision each time.  Each accepted eigenvalue is certified by a
+Wronskian sign change across a relative bracket of 10^-(dps+4)/2 at full
+precision and by counting eigenfunction nodes.
 
 For N=1 the odd/even eigenvalues are exactly the negated zeros of Ai / Ai',
-and the solver takes that fast path.
+and the solver takes that fast path: `numerics.airy_negative_zeros` marches
+Ai(-t) through all of them on the same kernel, one call per parity, and
+certifies each zero by a sign change and its index by its place in the march.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import mpmath
 from mpmath import mpf
 
 from .errors import BracketFailureError, CertificationError
-from .numerics import airy_negative_zero
+from .numerics import _taylor_step, airy_negative_zeros
 from .precision import DEFAULT_DPS, GUARD, rounded, working
 
 PARITIES = ("+", "-")
@@ -109,47 +111,6 @@ def _predicted_energy(N: int, k_full: float) -> float:
 # --------------------------------------------------------------------------
 # Power-series ODE stepping in integer fixed point
 # --------------------------------------------------------------------------
-
-def _taylor_step(u, P, tol_h, starts, h2):
-    """Advance psi'' = (q^N - E) psi by one step h with the local Taylor
-    recurrence on scaled terms d_k = c_k h^k, integers in fixed point 2^-P:
-    d_{k+2} = (sum_j u_j d_{k-j} >> P) // ((k+1)(k+2)), where
-    u_j = C(N,j) q0^(N-j) h^(2+j) and u_0 is reduced by E h^2.  `starts`
-    holds (d_0, d_1) of psi, then optionally of dpsi/dE, whose terms have
-    the extra source -h2 d_k (h2 = h^2).  Returns value and h * derivative
-    at q0 + h for each series.  Only the psi terms, against `tol_h` =
-    tol * |h|, decide convergence."""
-    n = len(u)
-    series = [list(pair) for pair in starts]
-    d = series[0]
-    scale = max(abs(d[0]), abs(d[1]))
-    limit = tol_h * scale >> P
-    k = 0
-    prev_small = False
-    while k <= 400:
-        # terms d_k, d_{k-1}, ..., d_{k-N} against u_0 ... u_N
-        window = slice(k, k - n, -1) if k >= n else slice(k, None, -1)
-        den = (k + 1) * (k + 2)
-        source = 0
-        for s in series:
-            s.append(((sum(map(int.__mul__, u, s[window])) - source) >> P) // den)
-            source = h2 * d[k]
-        k += 1
-        size = abs(d[-1])
-        if size > scale:
-            scale = size
-            limit = tol_h * scale >> P
-        # with |h| <= 1/2, (k+1)|d| < tol*scale*|h| bounds both the value
-        # term |d| and the derivative term (k+1)|d|/|h| by tol*scale
-        small = (k + 1) * size < limit
-        # parity of the potential can zero out every other coefficient, so a
-        # single tiny term is not evidence of convergence
-        if k > 4 and small and prev_small:
-            break
-        prev_small = small
-    return [v for s in series
-            for v in (sum(s), sum(map(int.__mul__, range(len(s)), s)))]
-
 
 def _forbidden_rate(N: int, E: float, q: float) -> float:
     return math.sqrt(max(q ** N - E, 0.0))
@@ -299,8 +260,7 @@ def _solve_one(N: int, parity: str, j: int, dps: int, correction: float):
 def _airy_record(parity: str, count: int, dps: int) -> SpectrumRecord:
     """N=1 closed route: eigenvalues are negated zeros of Ai (Dirichlet)
     or of Ai' (Neumann)."""
-    deriv = 1 if parity == "+" else 0
-    evs = tuple(airy_negative_zero(k, deriv, dps) for k in range(1, count + 1))
+    evs = tuple(airy_negative_zeros(count, 1 if parity == "+" else 0, dps))
     return SpectrumRecord(1, parity, evs, (dps,) * count)
 
 

@@ -1,15 +1,19 @@
 """Unit tests for the special-function layer."""
 
+import json
+import os
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
-from osczeta.errors import GammaPoleError
+from osczeta import numerics
+from osczeta.errors import CertificationError, GammaPoleError
 from osczeta.numerics import (
     IntegerSequenceKind,
     airy_eval,
     airy_negative_zero,
+    airy_negative_zeros,
     airy_taylor_coefficient,
     airy_zero_asymptotic,
     alternating_hurwitz,
@@ -20,6 +24,15 @@ from osczeta.numerics import (
     hyper_4f3,
     integer_sequence,
 )
+
+
+# exact binary values (sign, mantissa, exponent, bitcount) of the first 60
+# negative zeros of Ai ("0@dps") and Ai' ("1@dps"), as returned by the
+# Newton iteration on the Airy series that the Taylor march replaced
+AIRY_ZERO_SNAPSHOT_PATH = os.path.join(os.path.dirname(__file__), "data",
+                                       "airy_zero_snapshot.json")
+with open(AIRY_ZERO_SNAPSHOT_PATH, encoding="utf-8") as _fh:
+    AIRY_ZERO_SNAPSHOT = json.load(_fh)
 
 
 def close(a, b, eps):
@@ -132,6 +145,24 @@ class TestAiry:
             assert close(lo, mp.airyai(mp.mpf("5.999")), "1e-27")
             assert close(hi, mp.airyai(mp.mpf("6.001")), "1e-27")
 
+    # deep on the negative axis the series terms run up to about 1e40 times
+    # the result; the series must still stop against the result
+    @pytest.mark.parametrize("x", ["-20", "-25", "-27"])
+    @pytest.mark.parametrize("deriv", [0, 1])
+    def test_eval_deep_negative_axis(self, x, deriv):
+        with mp.workdps(130):
+            ref = mp.airyai(mp.mpf(x), derivative=deriv)
+            assert abs(airy_eval(mp.mpf(x), deriv, 100) / ref - 1) \
+                < mp.mpf("1e-97")
+
+    @pytest.mark.parametrize("deriv", [0, 1])
+    def test_eval_relative_on_positive_axis(self, deriv):
+        # Ai(12) is about 1e-13 of the largest series term
+        with mp.workdps(60):
+            ref = mp.airyai(12, derivative=deriv)
+            assert abs(airy_eval(mp.mpf(12), deriv, 30) / ref - 1) \
+                < mp.mpf("1e-29")
+
     @pytest.mark.parametrize("k", [1, 2, 5, 12])
     @pytest.mark.parametrize("deriv", [0, 1])
     def test_negative_zero(self, k, deriv):
@@ -144,6 +175,96 @@ class TestAiry:
         with mp.workdps(30):
             approx = airy_zero_asymptotic(40, 0, 25)
             assert close(approx, -mp.airyaizero(40), "1e-15")
+
+
+class TestAiryZeroMarch:
+    @pytest.mark.parametrize("dps", [30, 45])
+    @pytest.mark.parametrize("deriv", [0, 1])
+    def test_first_thirty_against_mpmath(self, dps, deriv):
+        zeros = airy_negative_zeros(30, deriv, dps)
+        with mp.workdps(dps + 10):
+            for k, z in enumerate(zeros, start=1):
+                ref = -mp.airyaizero(k, derivative=deriv)
+                assert abs(z / ref - 1) < mp.mpf(10) ** (-dps)
+
+    @pytest.mark.parametrize("deriv", [0, 1])
+    def test_hundred_digits_against_mpmath(self, deriv):
+        # every digit at 100 digits, past the index (about 26) where the
+        # series-based Newton iteration ran out of precision
+        zeros = airy_negative_zeros(30, deriv, 100)
+        with mp.workdps(110):
+            for k in (1, 13, 26, 30):
+                ref = -mp.airyaizero(k, derivative=deriv)
+                assert abs(zeros[k - 1] / ref - 1) < mp.mpf("1e-100")
+
+    @pytest.mark.parametrize("deriv", [0, 1])
+    def test_prefix(self, deriv):
+        assert airy_negative_zeros(30, deriv, 30)[:5] == \
+            airy_negative_zeros(5, deriv, 30)
+        assert airy_negative_zero(5, deriv, 30) == \
+            airy_negative_zeros(5, deriv, 30)[-1]
+
+    @pytest.mark.parametrize("key", sorted(AIRY_ZERO_SNAPSHOT))
+    def test_bit_identical_to_snapshot(self, key):
+        deriv, dps = map(int, key.split("@"))
+        zeros = airy_negative_zeros(60, deriv, dps)
+        assert [list(z._mpf_) for z in zeros] == AIRY_ZERO_SNAPSHOT[key]
+
+    @pytest.mark.parametrize("deriv", [0, 1])
+    def test_taylor_steps_per_march(self, monkeypatch, deriv):
+        # about 190 grid steps to t = 27, then per zero a handful of Newton
+        # steps and 2 certificate steps
+        calls = []
+        step = numerics._taylor_step
+
+        def counting(*args):
+            calls.append(args)
+            return step(*args)
+
+        monkeypatch.setattr(numerics, "_taylor_step", counting)
+        airy_negative_zeros(30, deriv, 45)
+        assert len(calls) <= 450
+
+    def test_spurious_sign_change_is_refused(self, monkeypatch):
+        # the first grid step comes back with its value negated: the grid
+        # shows a sign change, but Newton on the step's own series finds no
+        # zero inside it
+        step = numerics._taylor_step
+        calls = []
+
+        def corrupted(*args):
+            out = step(*args)
+            calls.append(args)
+            if len(calls) == 1:
+                out[0] = -out[0]
+            return out
+
+        monkeypatch.setattr(numerics, "_taylor_step", corrupted)
+        with pytest.raises(CertificationError, match="left its grid step"):
+            airy_negative_zeros(1, 0, 30)
+
+    def test_lost_solution_is_refused(self, monkeypatch):
+        # a kernel whose slope comes back 1000 times too steep marches a
+        # solution that only grows; the march stops where the first zero
+        # must lie instead of marching on
+        step = numerics._taylor_step
+
+        def steep(*args):
+            out = step(*args)
+            out[1] *= 1000
+            return out
+
+        monkeypatch.setattr(numerics, "_taylor_step", steep)
+        with pytest.raises(CertificationError, match="found 0 of 1 zeros"):
+            airy_negative_zeros(1, 0, 30)
+
+    def test_input_validation(self):
+        with pytest.raises(ValueError):
+            airy_negative_zeros(0, 0, 30)
+        with pytest.raises(ValueError):
+            airy_negative_zeros(3, 2, 30)
+        with pytest.raises(ValueError):
+            airy_negative_zero(0, 0, 30)
 
 
 class TestHyper4F3:

@@ -55,6 +55,40 @@ class TestAiry:
                 assert abs(e + mp.airyaizero(j + 1, derivative=1)) \
                     < mp.mpf("1e-40")
 
+    def test_sectors_match_zero_snapshot(self, spectra1):
+        # the shared N=1 fixture (30 levels at 45 digits) bit for bit against
+        # the zeros the series-based Newton iteration gave
+        path = os.path.join(os.path.dirname(__file__), "data",
+                            "airy_zero_snapshot.json")
+        with open(path, encoding="utf-8") as fh:
+            snapshot = json.load(fh)
+        plus, minus = spectra1
+        for rec, key in ((plus, "1@45"), (minus, "0@45")):
+            assert [list(e._mpf_) for e in rec.eigenvalues] == \
+                snapshot[key][:30]
+
+    def test_one_march_per_sector(self, monkeypatch):
+        calls = []
+        march = spectrum.airy_negative_zeros
+
+        def counting(*args):
+            calls.append(args)
+            return march(*args)
+
+        monkeypatch.setattr(spectrum, "airy_negative_zeros", counting)
+        for parity, deriv in (("+", 1), ("-", 0)):
+            rec = eigenvalues(1, parity, 12, 30)
+            assert calls[-1] == (12, deriv, 30)
+            assert len(rec) == 12
+        assert len(calls) == 2
+
+    def test_hundred_digit_sector(self):
+        rec = eigenvalues(1, "-", 30, 100)
+        with mp.workdps(110):
+            for j in (0, 25, 29):
+                ref = -mp.airyaizero(j + 1)
+                assert abs(rec.eigenvalues[j] / ref - 1) < mp.mpf("1e-100")
+
 
 class TestRecordStructure:
     def test_full_index(self, spectra3):
