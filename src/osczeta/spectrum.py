@@ -3,12 +3,15 @@
 The Neumann condition at q=0 (parity '+') selects the even eigenfunctions of
 the full-line operator, the Dirichlet condition (parity '-') the odd ones.
 Eigenvalues are found by matching an outward power-series integration from
-q=0 against an inward integration carrying decaying initial data.  One
-kernel does all the integration: `numerics._taylor_step`, a high-order
-Taylor recurrence on Python integers in fixed point, which on request also
-carries dpsi/dE.  The matching Wronskian is bracketed on a semiclassical
-(Bohr-Sommerfeld) grid at low precision, then polished by Newton steps that
-double the precision each time.  Each accepted eigenvalue is certified by a
+q=0 against an inward integration carrying decaying initial data from the
+point where the WKB action reaches half of (dps+10) ln 10; the error of that
+start dies inward as e^(-2A).  One kernel does all the integration:
+`numerics._taylor_step`, a high-order Taylor recurrence on Python integers
+in fixed point, which on request also carries dpsi/dE.  The matching
+Wronskian is bracketed on a semiclassical (Bohr-Sommerfeld) grid at low
+precision, shot outward from the prediction, then polished by Newton steps
+whose precision follows the digits the last step gained, usually with one
+shoot at full precision.  Each accepted eigenvalue is certified by a
 Wronskian sign change across a relative bracket of 10^-(dps+4)/2 at full
 precision and by counting eigenfunction nodes.
 
@@ -55,6 +58,12 @@ class SpectrumRecord:
 
     def __len__(self):
         return len(self.eigenvalues)
+
+    def prefix(self, count: int) -> "SpectrumRecord":
+        """The first `count` levels."""
+        return dataclasses.replace(
+            self, eigenvalues=self.eigenvalues[:count],
+            certified_digits=self.certified_digits[:count])
 
     def full_index(self, j: int) -> int:
         """Index of the j-th eigenvalue of this parity within the merged
@@ -117,10 +126,16 @@ def _forbidden_rate(N: int, E: float, q: float) -> float:
 
 
 def _choose_qmax(N: int, E: float, qm: float, decades: float) -> float:
-    """Smallest grid point where the WKB decay from qm exceeds the target
-    number of decimal decades (float estimate; errors land far below the
-    arithmetic noise floor)."""
-    target = decades * math.log(10.0)
+    """Smallest grid point where the WKB action from qm exceeds half the
+    target number of decimal decades (float estimate; errors land far below
+    the arithmetic noise floor).
+
+    The inward sweep starts from decaying WKB data at qmax.  Its error there
+    is some multiple of the other solution, which decays inward as e^(-A)
+    while the wanted one grows as e^A, so at qm the contamination relative
+    to the wanted solution is down by e^(-2A): A = decades ln(10) / 2 buys
+    the full 10^-decades."""
+    target = decades * math.log(10.0) / 2
     q = qm
     acc = 0.0
     step = max(0.1, 0.05 * qm)
@@ -206,8 +221,12 @@ GRID_DPS = 8
 
 
 def _polish(N: int, parity: str, a, b, wa, wb, dps: int):
-    """Newton on the matching Wronskian from the secant of the bracket,
-    doubling the shooting precision each step.  A start that converges to
+    """Newton on the matching Wronskian from the secant of the bracket.
+
+    A step of relative size 10^-got leaves an error near 10^-2got, so the
+    next shoot runs at min(dps, 2 got + 4) digits (never fewer than the
+    last).  At full precision the step is final once it is below the
+    stopping size or its square is far below it.  A start that converges to
     the wrong level is caught by the certificate in _solve_one."""
     with working(dps, 15):
         e = (a * wb - b * wa) / (wb - wa)
@@ -215,12 +234,36 @@ def _polish(N: int, parity: str, a, b, wa, wb, dps: int):
         digits = GRID_DPS
         for _ in range(dps + 60):
             _, _, step = _shoot(N, e, parity, digits, slope=True)
-            if digits == dps and abs(step) < stop * e:
+            rel = abs(step / e)
+            if digits == dps and (rel < stop or rel ** 2 < stop * 1e-6):
                 return e + step
             e += step
-            digits = min(dps, 2 * digits + 4)
+            got = int(-mpmath.log10(rel)) if rel else dps
+            digits = min(dps, max(digits, 2 * got + 4))
     raise CertificationError(
         f"Newton polish did not converge for N={N} parity={parity}")
+
+
+def _bracket(N: int, parity: str, j: int, grid):
+    """(i, Wronskians by grid index) for the grid pair (i, i+1) that
+    brackets level j, or None.  The points are shot outward from the centre,
+    the prediction, and the scan stops at the first sign change whose lower
+    end counts j nodes: with one sign change on the grid that is the pair a
+    left-to-right scan finds, after 2-4 shoots instead of 7.  The node test
+    passes over the next level, which a wide low-level window at large N can
+    hold; if no pair passes, the leftmost sign change is returned."""
+    vals, nodes = {}, {}
+
+    def changes(i):
+        return mpmath.sign(vals[i]) != mpmath.sign(vals[i + 1])
+
+    for t in (3, 2, 4, 1, 5, 0, 6):
+        vals[t], nodes[t], _ = _shoot(N, mpf(grid[t]), parity, GRID_DPS)
+        i = t if t < 3 else t - 1
+        if t != 3 and changes(i) and nodes[i] == j:
+            return i, vals
+    i = next((i for i in range(6) if changes(i)), None)
+    return None if i is None else (i, vals)
 
 
 def _solve_one(N: int, parity: str, j: int, dps: int, correction: float):
@@ -233,15 +276,14 @@ def _solve_one(N: int, parity: str, j: int, dps: int, correction: float):
     hi = _predicted_energy(N, kf + 1) * correction
     for attempt in range(3):
         grid = [lo + (hi - lo) * t / 6.0 for t in range(7)]
-        vals = [_shoot(N, mpf(g), parity, GRID_DPS)[0] for g in grid]
-        i = next((i for i in range(6)
-                  if mpmath.sign(vals[i]) != mpmath.sign(vals[i + 1])), None)
-        if i is not None:
+        found = _bracket(N, parity, j, grid)
+        if found:
             break
         lo, hi = lo / 1.5, hi * 1.5
     else:
         raise BracketFailureError(
             f"no sign change for N={N} parity={parity} index {j}")
+    i, vals = found
     e = _polish(N, parity, grid[i], grid[i + 1], vals[i], vals[i + 1], dps)
     with working(dps, 15):
         delta = mpf(10) ** (-(dps + 4)) / 4

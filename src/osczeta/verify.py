@@ -18,7 +18,7 @@ import mpmath as mp
 
 from . import closedforms as cforms
 from .precision import DEFAULT_DPS, agree_digits, working
-from .spectrum import SpectrumRecord, counting_check, eigenvalues
+from .spectrum import counting_check, eigenvalues
 from .sumrules import derive_sum_rules, solved_form
 from .sympoly import ZKind, ZSymbol
 from .zetafns import (bohr_sommerfeld_b0, functional_eq_residual, zeta_em)
@@ -26,6 +26,9 @@ from .zetafns import (bohr_sommerfeld_b0, functional_eq_residual, zeta_em)
 # past ~30 digits the Euler-Maclaurin tail, not the eigenvalue accuracy,
 # limits every EM-based check, so higher spectral precision is wasted time
 SPECTRAL_DPS_CAP = 30
+
+# the Airy checks sum this many N=1 eigenvalues per parity
+AIRY_LEVELS = 30
 
 FUNCEQ_LAMBDAS = ("0.25", "-0.2", "0.12", "-0.08", "0.03")
 
@@ -267,14 +270,16 @@ def _funceq_checks(N, table, digits):
     return out
 
 
-def _airy_checks(digits):
+def _airy_checks(airy, digits):
+    """N=1 checks; `airy` is a pair of at least AIRY_LEVELS levels per
+    parity at spectral_dps(1, digits)."""
     out = []
     cf = cforms.closed_form_eval
     rho_g = cf("RO", None, digits)
     # deep spectra are cheap here (Airy-zero fast path); the EM route must
     # hit the exact values on its own, independent of the closed forms
     dps = spectral_dps(1, digits)
-    rec30 = (eigenvalues(1, "+", 30, dps), eigenvalues(1, "-", 30, dps))
+    rec30 = tuple(rec.prefix(AIRY_LEVELS) for rec in airy)
     out.append(_check("N1.zplus3.em", "Z+(3) = 1 from a 30-eigenvalue sum",
                       1, zeta_em(1, "plus", 3, rec30[0], dps=dps).value,
                       mp.mpf("1e-20")))
@@ -372,8 +377,7 @@ def _cubic_checks(recs, table, digits):
                       cf("Z32", 3, digits) - cf("Z3minus2", 3, digits),
                       mp.mpf(10) ** (-(digits - 15))))
     # reference EM run with eigenvalues k <= 9 (5 per parity)
-    sub = tuple(SpectrumRecord(3, r.parity, r.eigenvalues[:5],
-                               r.certified_digits[:5]) for r in recs)
+    sub = tuple(r.prefix(5) for r in recs)
     dps9 = spectral_dps(3, digits)
     for anchor, kind, n, quote in (
             ("Z-(3) EM reference 0.025878", "minus", 3, "0.025878"),
@@ -427,15 +431,27 @@ def run_battery(n_list=(1, 2, 3, 6), digits: int = DEFAULT_DPS,
                               ref, b3, mp.mpf(10) ** (-(digits - 10))))
         for N in n_list:
             t0 = time.time()
-            recs = spectra[N] if spectra and N in spectra \
-                else compute_spectra(N, eigencount, digits)
             dps = spectral_dps(N, digits)
+            recs = spectra.get(N) if spectra else None
+            if N == 1:
+                # one deep pair serves the Airy checks and, by the prefix
+                # property of the Airy march, the zeta table
+                airy = recs
+                if not recs or any(len(rec) < AIRY_LEVELS
+                                   or min(rec.certified_digits) < dps
+                                   for rec in recs):
+                    airy = compute_spectra(1, max(eigencount, AIRY_LEVELS),
+                                           digits)
+                    recs = recs or tuple(rec.prefix(eigencount)
+                                         for rec in airy)
+            elif recs is None:
+                recs = compute_spectra(N, eigencount, digits)
             # N >= 3 feeds the determinant series, which needs deep zeta tables
             table = em_zeta_table(N, recs, 26 if N >= 3 else 6, dps)
             records.extend(_common_checks(N, recs, table, digits))
             records.extend(_funceq_checks(N, table, digits))
             if N == 1:
-                records.extend(_airy_checks(digits))
+                records.extend(_airy_checks(airy, digits))
             elif N == 2:
                 records.extend(_harmonic_checks(digits))
             elif N == 3:

@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from osczeta import cli, sumrules
+from osczeta import cli, sumrules, verify
 
 # `osczeta derive --N <N> --nmax 9` stdout per degree, recorded with the
 # earlier Z+/Z- series-product derivation
@@ -143,6 +143,34 @@ class TestDeriveWork:
         docs = json.loads(capsys.readouterr().out)
         assert not any(d.get("autonomous") for d in docs[0])
         assert len(docs[0]) == nmax + 1
+
+
+class TestVerifyWork:
+    def test_one_airy_solve_per_parity(self, monkeypatch, capsys):
+        # the Airy checks and the zeta table share one 30-level pair; the
+        # table takes its --count prefix
+        calls = []
+        original = verify.eigenvalues
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(verify, "eigenvalues", counting)
+        assert run(["verify", "--N", "1", "--digits", "20", "--count", "5",
+                    "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"]
+        assert calls == [(1, "+", 30, 20), (1, "-", 30, 20)]
+
+    def test_supplied_deep_pair_is_not_solved_again(self, monkeypatch,
+                                                    spectra1):
+        def refuse(*args):
+            raise AssertionError(f"unexpected solve {args}")
+
+        monkeypatch.setattr(verify, "eigenvalues", refuse)
+        report = verify.run_battery(n_list=(1,), digits=20, eigencount=5,
+                                    spectra={1: spectra1})
+        assert report.passed
 
 
 class TestTableCommand:

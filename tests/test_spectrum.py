@@ -17,8 +17,9 @@ from osczeta.spectrum import (
 )
 
 # exact binary values (sign, mantissa, exponent, bitcount) of the first two
-# eigenvalues per sector, as returned by the bisection/secant solver the
-# Newton polish replaced
+# eigenvalues per sector: N = 2..6 at 15 and 30 digits as returned by the
+# bisection/secant solver the Newton polish replaced, N = 10 and the 50-digit
+# sectors as returned by the Newton solver with the full-action inward sweep
 SNAPSHOT_PATH = os.path.join(os.path.dirname(__file__), "data",
                              "spectrum_snapshot.json")
 with open(SNAPSHOT_PATH, encoding="utf-8") as _fh:
@@ -162,11 +163,12 @@ class TestSolverRegression:
     @pytest.mark.parametrize("key", sorted(SNAPSHOT))
     def test_bit_identical_to_snapshot(self, key):
         sector, dps = key.split("@")
-        rec = eigenvalues(int(sector[0]), sector[1], 2, int(dps))
+        rec = eigenvalues(int(sector[:-1]), sector[-1], 2, int(dps))
         assert [list(e._mpf_) for e in rec.eigenvalues] == SNAPSHOT[key]
 
     def test_shoots_per_eigenvalue(self, monkeypatch):
-        # 7 grid shoots, a handful of Newton shoots, 2 certificate shoots
+        # 2-4 grid shoots outward from the prediction, Newton shoots at
+        # rising precision (one at full), 2 certificate shoots
         calls = []
         shoot = spectrum._shoot
 
@@ -176,7 +178,55 @@ class TestSolverRegression:
 
         monkeypatch.setattr(spectrum, "_shoot", counting)
         eigenvalues(3, "+", 1, 50)
-        assert len(calls) <= 16
+        assert len(calls) <= 12
+
+    def test_one_full_precision_newton_shoot_per_level(self, monkeypatch):
+        calls = []
+        shoot = spectrum._shoot
+
+        def counting(N, E, parity, dps, slope=False):
+            calls.append((dps, slope))
+            return shoot(N, E, parity, dps, slope=slope)
+
+        monkeypatch.setattr(spectrum, "_shoot", counting)
+        eigenvalues(3, "+", 4, 30)
+        assert calls.count((30, True)) <= 4
+
+    @pytest.mark.parametrize("N,parity,pair", [
+        (2, "+", "spectra2"), (3, "-", "spectra3"), (6, "+", "spectra6")])
+    def test_full_action_inward_sweep_agrees(self, monkeypatch, request,
+                                             N, parity, pair):
+        # the inward start needs only half the action: its error decays
+        # inward relative to the wanted solution as e^(-2A)
+        choose = spectrum._choose_qmax
+        monkeypatch.setattr(
+            spectrum, "_choose_qmax",
+            lambda N, E, qm, decades: choose(N, E, qm, 2 * decades))
+        rec = eigenvalues(N, parity, 3, 30)
+        plus, minus = request.getfixturevalue(pair)
+        ref = plus if parity == "+" else minus
+        assert rec.eigenvalues == ref.eigenvalues[:3]
+
+    def test_prediction_half_a_level_off(self, monkeypatch):
+        # a window shifted by half the sector's level spacing puts the
+        # level away from the centre shoots (or outside the first window)
+        ref = eigenvalues(3, "+", 4, 20)
+        predicted = spectrum._predicted_energy
+        bracket = spectrum._bracket
+        pairs = []
+
+        def tracking(*args):
+            found = bracket(*args)
+            pairs.append(found and found[0])
+            return found
+
+        monkeypatch.setattr(spectrum, "_predicted_energy",
+                            lambda N, k: predicted(N, k + 1))
+        monkeypatch.setattr(spectrum, "_bracket", tracking)
+        rec = eigenvalues(3, "+", 4, 20)
+        assert [list(e._mpf_) for e in rec.eigenvalues] == \
+            [list(e._mpf_) for e in ref.eigenvalues]
+        assert None in pairs and {0, 5} <= set(pairs)
 
     def test_polish_from_wrong_level_is_refused(self, monkeypatch):
         # a bracket grid one level up starts Newton at the next eigenvalue
