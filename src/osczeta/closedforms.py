@@ -15,7 +15,7 @@ from fractions import Fraction
 from .errors import UnknownIdentifierError
 from .numerics import (airy_eval, airy_taylor_coefficient,
                        alternating_hurwitz, euler_number, gamma,
-                       genocchi_number, hyper_4f3)
+                       genocchi_number, hurwitz_many, hyper_4f3)
 from .precision import DEFAULT_DPS, rounded, working
 
 F = Fraction
@@ -123,7 +123,7 @@ def harmonic_zeta(kind: str, n: int, dps: int = DEFAULT_DPS):
                 v = zeta_one(2, kind, dps)
             else:
                 a = F(1, 4) if kind == "plus" else F(3, 4)
-                v = mp.mpf(4) ** (-n) * mp.zeta(n, mp.mpmathify(a))
+                v = mp.mpf(4) ** (-n) * hurwitz_many([n], mp.mpmathify(a))[0]
         else:
             raise ValueError(f"unknown kind {kind!r}")
     return rounded(v, dps)

@@ -1,14 +1,18 @@
 """Arbitrary-precision special functions and exact integer sequences.
 
-Gamma, the alternating Hurwitz sum, the Airy function Ai and its derivative,
-the negative zeros of Ai and Ai', Bernoulli / Euler / Genocchi numbers, and
-the generalized hypergeometric 4F3 at unit argument.  Everything is pure and
-deterministic given (inputs, dps).
+Gamma, Hurwitz zeta values and the alternating Hurwitz sum, the Airy
+function Ai and its derivative, the negative zeros of Ai and Ai', Bernoulli /
+Euler / Genocchi numbers, and the generalized hypergeometric 4F3 at unit
+argument.  Everything is pure and deterministic given (inputs, dps).
 
-The package's one Taylor kernel, `_taylor_step`, lives here: the shooting
-solver of `spectrum` integrates on it, and so does the march of Ai(-t) that
-finds the Airy zeros (the N=1 spectra).  `airy_eval` keeps its own power and
-asymptotic series, an independent route to Ai.
+Two integer fixed-point kernels live here.  The Taylor kernel,
+`_taylor_step`: the shooting solver of `spectrum` integrates on it, and so
+does the march of Ai(-t) that finds the Airy zeros (the N=1 spectra).  The
+Hurwitz kernel, `hurwitz_many`: every Hurwitz zeta of the package (the
+semiclassical tails of `zetafns`, the alternating sums, the N=2 closed
+forms) is a batch of exponents at one shift on it, each value to a relative
+error of one ulp.  `airy_eval` keeps its own power and asymptotic series, an
+independent route to Ai.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .errors import (
     DivergentSeriesError,
     GammaPoleError,
     PrecisionUnreachableError,
+    SummationPoleError,
     TailBoundError,
 )
 from .precision import DEFAULT_DPS, GUARD, rounded, working
@@ -50,30 +55,277 @@ def gamma(x, dps: int = DEFAULT_DPS):
 
 
 # --------------------------------------------------------------------------
-# Alternating Hurwitz sum
+# Hurwitz zeta kernel
 # --------------------------------------------------------------------------
 
-def alternating_hurwitz(s, a):
-    """sum_{k>=0} (-1)^k (k+a)^(-s) for real s and a > 0, at the ambient
-    precision, as 2^(-s) [zeta(s, a/2) - zeta(s, (a+1)/2)]; the identity
-    continues analytically to every s != 1, and at s = 1 the poles of the
-    two halves cancel to (psi((a+1)/2) - psi(a/2)) / 2."""
-    s, a = mpf(s), mpf(a)
+#: head points beyond which a Hurwitz tail bound counts as unreachable
+HURWITZ_MAX_HEAD = 4096
+#: bits a Hurwitz sum's truncation bound keeps below the ambient precision,
+#: and bits its fixed point keeps below that for the rounding of at most
+#: 2^20 operations
+_HURWITZ_TRUNC_BITS = 10
+_HURWITZ_GUARD = 30
+#: cost of one head point in Euler-Maclaurin terms, when it takes a power
+#: (non-integer exponent) and when it does not
+_HEAD_COST = (3, 1)
+_LOG2_2PI = math.log2(2 * math.pi)
+
+
+@lru_cache(maxsize=None)
+def _em_coefficient(j: int):
+    """B_2j / (2j)! as an exact (numerator, denominator) pair."""
+    c = bernoulli_number(2 * j) / math.factorial(2 * j)
+    return c.numerator, c.denominator
+
+
+def _hurwitz_plan(e: float, a: float, bits: int):
+    """(K, M) for sum_{k>=0} (k+a)^-e: K head terms, then M Euler-Maclaurin
+    terms at x = K + a (M = 0: none), a cheap pair whose remainder bound is
+    at most 2^-bits a^-e.
+
+    The head alone leaves sum_{k>=K} (k+a)^-e <= x^-e (1 + x/(e-1)).  After
+    M terms the Euler-Maclaurin remainder is at most
+    4 (e)_2M x^(1-e-2M) / ((2 pi)^2M (e+2M-1)) for e > 0, M >= 1 (Johansson,
+    Numer. Algorithms 69, 2015), which meets the target once
+    log2 x >= (log2 of the rest + bits) / (2M + e - 1).  M walks downhill
+    in the cost head cost * K + M with K relaxed to a real number, then the
+    integer costs around the bottom decide.  Raises TailBoundError when no
+    plan fits in HURWITZ_MAX_HEAD head points."""
+    la = math.log2(a)
+    hc = _HEAD_COST[e == int(e)]
+    lx_max = math.log2(HURWITZ_MAX_HEAD + a)
+    plans = []
+    if e > 1:
+        def head_ok(K):
+            x = K + a
+            return (e * (la - math.log2(x)) + math.log2(1 + x / (e - 1))
+                    <= -bits)
+        # x = a 2^(bits/e) (1 + x/(e-1))^(1/e), iterated upward from below
+        lx = la + bits / e
+        for _ in range(3):
+            if lx > lx_max:
+                break
+            lx = la + (bits + math.log2(1 + 2 ** lx / (e - 1))) / e
+        if lx <= lx_max:
+            K = max(1, math.ceil(2 ** lx - a))
+            while not head_ok(K):
+                K += 1
+            plans.append((hc * K, K, 0))
+
+    lg_e = math.lgamma(e)
+
+    def need(M):
+        """log2 of the x at which M terms meet the bound."""
+        return ((2 + (math.lgamma(e + 2 * M) - lg_e) / math.log(2)
+                 - 2 * M * _LOG2_2PI - math.log2(e + 2 * M - 1) + e * la
+                 + bits) / (2 * M + e - 1))
+
+    def relaxed(M):
+        lx = need(M)
+        return M + hc * max(0.0, 2 ** lx - a) if lx < lx_max else math.inf
+
+    # a plan with M terms costs at least M: only M below the head-only
+    # cost can win
+    m_high = min(plans)[0] if plans else math.inf
+    M = max(1, min(bits // 5, m_high - 1))
+    r = relaxed(M)
+    step = 1
+    if M > 1:
+        r_down = relaxed(M - 1)
+        if r_down < r:
+            M, r, step = M - 1, r_down, -1
+    for _ in range(4 * bits):
+        if not 1 <= M + step < m_high:
+            break
+        r_next = relaxed(M + step)
+        if r_next >= r:
+            break
+        M, r = M + step, r_next
+    for M in range(max(1, M - 3), min(M + 4, m_high)):
+        lx = need(M)
+        if lx <= lx_max:
+            K = max(0, math.ceil(2 ** lx - a))
+            plans.append((hc * K + M, K, M))
+    if not plans:
+        raise TailBoundError(
+            f"Hurwitz sum at e = {e:.6g}, a = {a:.6g} cannot reach 2^-{bits} "
+            f"within {HURWITZ_MAX_HEAD} head points")
+    return min(plans)[1:]
+
+
+def _exp_fixed(w, P):
+    """exp(w 2^-P) 2^P for |w| 2^-P far below 1, in fixed point."""
+    out, term, n = 1 << P, w, 1
+    while term:
+        out += term
+        n += 1
+        term = term * w >> P
+        term //= n
+    return out
+
+
+def _hurwitz_scaled(exps, a, bits):
+    """[a^e sum_{k>=0} (k+a)^-e for e in exps] as fixed-point integers at
+    2^-P, P = bits + _HURWITZ_GUARD, each within 2^-bits of its value
+    (absolute; the leading term is exactly 1).
+
+    The terms are t_k^e with t_k = a/(k+a).  An exponent e = f + 2m takes
+    t^f, then m multiplications by t^2.  t^f is exp(g ln t) for g = f
+    rounded to a double, shared by all exponents with the same g, times
+    exp((f - g) ln t) from a short series; an integer f needs no power.
+    Each value depends only on its own e, so a batch equals its single
+    calls bit for bit."""
+    P = bits + _HURWITZ_GUARD
+    one = 1 << P
+    man, ex = a.man_exp
+    A, D = (man << ex, 1) if ex >= 0 else (man, 1 << -ex)   # a = A/D
+    af = float(a)
+    groups = {}
+    for i, e in enumerate(exps):
+        K, M = _hurwitz_plan(float(e), af, bits)
+        m = int(mpmath.floor(e / 2))
+        f = e - 2 * m
+        g = mpf(float(f))
+        if K * (m + 3) + 8 * M >= 1 << 20:
+            raise PrecisionUnreachableError(
+                "Hurwitz sum needs more than 2^20 fixed-point operations")
+        groups.setdefault(g, []).append(
+            (m, i, K, M, int(mpmath.ldexp(f - g, P))))
+    groups = [(g, sorted(items)) for g, items in sorted(groups.items())]
+    logs = any(g != int(g) or any(item[-1] for item in items)
+               for g, items in groups)
+    # t_0 = 1, so the term at k = 0 is exactly 1; the tail of an exponent
+    # with M > 0 starts at point K, x = K + a
+    head, at_x = [0] * len(exps), {}
+    for _, items in groups:
+        for _, i, K, _, _ in items:
+            if K:
+                head[i] = one
+            else:
+                at_x[i] = one
+    for k in range(1, max((K + (M > 0) for _, items in groups
+                           for _, _, K, M, _ in items), default=0)):
+        X = A + k * D
+        u = (A * A << P) // (X * X)
+        if logs:
+            with mpmath.workprec(P + 10):
+                L = mpmath.log(mpf(A) / X)
+                LP = int(mpmath.ldexp(L, P))
+        for g, items in groups:
+            if g == 0:
+                v = one
+            elif g == 1:
+                v = (A << P) // X
+            else:
+                with mpmath.workprec(P + 10):
+                    v = int(mpmath.ldexp(mpmath.exp(g * L), P))
+            mc = 0
+            for m, i, K, M, d in items:
+                if k > K or (k == K and not M):
+                    continue
+                for _ in range(m - mc):
+                    v = v * u >> P
+                mc = m
+                w = v * _exp_fixed(d * LP >> P, P) >> P if d else v
+                if k < K:
+                    head[i] += w
+                else:
+                    at_x[i] = w
+    for _, items in groups:
+        for m, i, K, M, d in items:
+            if M:
+                head[i] += _em_tail(at_x[i], exps[i], A + K * D, D, M, P)
+    return head
+
+
+def _em_tail(v, e, X, D, M, P):
+    """Euler-Maclaurin tail sum_{k>=K} t_k^e in fixed point 2^-P, from
+    v = (a/x)^e at x = X/D: x v/(e-1) + v/2 + sum_{j<=M} B_2j/(2j)!
+    (e)_{2j-1} x^(1-2j) v."""
+    one = 1 << P
+    E = int(mpmath.ldexp(e, P))
+    DD, XX = D * D, X * X
+    s = (v * X << P) // (D * (E - one)) + (v >> 1)
+    q = (v * E >> P) * D // X                       # (e)_1 x^-1 v
+    for j in range(1, M + 1):
+        num, den = _em_coefficient(j)
+        s += q * num // den
+        q = (q * (E + (2 * j - 1) * one) >> P) * (E + 2 * j * one) >> P
+        q = q * DD // XX
+    return s
+
+
+def hurwitz_many(exponents, a):
+    """[zeta(e, a) = sum_{k>=0} (k+a)^(-e) for e in exponents], e > 0 and
+    a > 0, at the ambient precision, each within one ulp of itself.
+
+    Every exponent runs on one fixed-point head shared by the batch plus an
+    Euler-Maclaurin tail, with K and the order chosen from an explicit
+    relative bound (`_hurwitz_plan`).  Below e = 1 the sum is continued
+    analytically, and a value that cancels below half its leading term
+    a^-e is recomputed with the lost bits added.  e = 1 raises
+    SummationPoleError, e <= 0 DivergentSeriesError, and an unreachable
+    tail bound TailBoundError."""
+    a = mpf(a)
+    if a <= 0:
+        raise ValueError("hurwitz_many requires a > 0")
+    exps = [mpf(e) for e in exponents]
+    if any(e == 1 for e in exps):
+        raise SummationPoleError("the Hurwitz zeta has its pole at e = 1")
+    if any(e <= 0 for e in exps):
+        raise DivergentSeriesError("hurwitz_many requires exponents e > 0")
+    prec = mpmath.mp.prec
+    base = prec + _HURWITZ_TRUNC_BITS
+    scaled = []
+    for e, s in zip(exps, _hurwitz_scaled(exps, a, base)):
+        bits = base
+        # below e = 1 the sum may cancel under its leading term 1: the bits
+        # it lost must be among the extra ones
+        for _ in range(3):
+            lost = bits + _HURWITZ_GUARD - s.bit_length()
+            if lost <= bits - base:
+                break
+            bits = base + lost + 2
+            s, = _hurwitz_scaled([e], a, bits)
+        else:
+            raise PrecisionUnreachableError(
+                f"Hurwitz sum at e = {e}, a = {a} cancels to below its "
+                "working precision")
+        scaled.append((s, bits + _HURWITZ_GUARD))
+    with mpmath.workprec(prec + 20):
+        out = [mpmath.ldexp(mpf(s), -P) * mpmath.power(a, -e)
+               for e, (s, P) in zip(exps, scaled)]
+    return [+v for v in out]
+
+
+def alternating_hurwitz_many(exponents, a):
+    """[sum_{k>=0} (-1)^k (k+a)^(-s) for s in exponents], real s, a > 0, at
+    the ambient precision, as 2^(-s) [zeta(s, a/2) - zeta(s, (a+1)/2)] from
+    two batches of the Hurwitz kernel; the identity continues analytically
+    to every s != 1, and at s = 1 the poles of the two halves cancel to
+    (psi((a+1)/2) - psi(a/2)) / 2."""
+    a = mpf(a)
     if a <= 0:
         raise ValueError("alternating_hurwitz requires a > 0")
-    # the halves cancel by about |s-1|^-1 (pole) and a (close arguments);
-    # mpmath.zeta sums to an absolute tolerance, so a value near a^-s also
-    # needs its magnitude back as extra bits
-    bits = max(0, mpmath.mag(a))
-    extra = 16 + bits + max(0, int(s * bits))
-    if s == 1:
-        with mpmath.extraprec(extra):
-            val = (mpmath.psi(0, (a + 1) / 2) - mpmath.psi(0, a / 2)) / 2
-    else:
-        with mpmath.extraprec(extra + max(0, -mpmath.mag(s - 1))):
-            val = mpmath.power(2, -s) * (mpmath.zeta(s, a / 2)
-                                         - mpmath.zeta(s, (a + 1) / 2))
-    return +val
+    exps = [mpf(s) for s in exponents]
+    rest = [s for s in exps if s != 1]
+    # both halves carry a relative error; their difference cancels by about
+    # a (close arguments) and |s-1|^-1 (pole)
+    extra = 16 + max(0, mpmath.mag(a)) + max(
+        [0] + [-mpmath.mag(s - 1) for s in rest])
+    with mpmath.extraprec(extra):
+        lo = iter(hurwitz_many(rest, a / 2))
+        hi = iter(hurwitz_many(rest, (a + 1) / 2))
+        vals = [(mpmath.psi(0, (a + 1) / 2) - mpmath.psi(0, a / 2)) / 2
+                if s == 1 else mpmath.power(2, -s) * (next(lo) - next(hi))
+                for s in exps]
+    return [+v for v in vals]
+
+
+def alternating_hurwitz(s, a):
+    """sum_{k>=0} (-1)^k (k+a)^(-s) for real s and a > 0 at the ambient
+    precision: one exponent of `alternating_hurwitz_many`."""
+    return alternating_hurwitz_many([s], a)[0]
 
 
 # --------------------------------------------------------------------------

@@ -21,7 +21,8 @@ from .precision import DEFAULT_DPS, agree_digits, working
 from .spectrum import counting_check, eigenvalues
 from .sumrules import derive_sum_rules, solved_form
 from .sympoly import ZKind, ZSymbol
-from .zetafns import (bohr_sommerfeld_b0, functional_eq_residual, zeta_em)
+from .zetafns import (BohrSommerfeldCoeffs, bohr_sommerfeld_b0,
+                      functional_eq_residual, tail_models, zeta_em)
 
 # past ~30 digits the Euler-Maclaurin tail, not the eigenvalue accuracy,
 # limits every EM-based check, so higher spectral precision is wasted time
@@ -128,11 +129,14 @@ def em_zeta_table(N, recs, n_max, dps):
     of convergence are silently skipped)."""
     out = {}
     mu = mp.mpf(N + 2) / (2 * N)
+    coeffs = BohrSommerfeldCoeffs.compute(N, dps)
+    models = tail_models(N, recs, coeffs, dps)
     for n in range(1, n_max + 1):
         for kind in ("full", "twisted", "plus", "minus"):
             if kind != "twisted" and n <= mu:
                 continue
-            out[(kind, n)] = zeta_em(N, kind, n, recs, dps=dps)
+            out[(kind, n)] = zeta_em(N, kind, n, recs, coeffs, dps,
+                                     models=models)
     return out
 
 

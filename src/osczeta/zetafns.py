@@ -5,10 +5,13 @@ computed from a finite spectrum plus a semiclassical tail: the eigenvalue
 index is mapped to energy through the counting relation
 2*pi*(k + 1/2) = b0 E^mu + b1 E^(-mu) + b2 E^(-3mu) + ..., the head is summed
 directly, and the tail becomes a combination of Hurwitz zeta values after
-inverting that relation into a power expansion of E_k^(-s) in (k + 1/2).
-Beyond the exactly known leading coefficients, higher counting coefficients
-are calibrated per parity class against the computed eigenvalues themselves,
-with a held-out eigenvalue supplying the error estimate.
+inverting that relation into a power expansion of E_k^(-s) in (k + 1/2);
+each tail is one batch of exponents at one shift on the Hurwitz kernel of
+`numerics`.  Beyond the exactly known leading coefficients, higher counting
+coefficients are calibrated per parity class against the computed
+eigenvalues themselves, with a held-out eigenvalue supplying the error
+estimate; the calibration does not depend on s, so `tail_models` runs it
+once per record for a whole table.
 
 Special degrees get exact tail models: N=2 (E_k = 2k+1 exactly) and N=1
 (eigenvalues are negated zeros of Ai / Ai', whose asymptotic expansions are
@@ -34,7 +37,7 @@ from .errors import (
     TailBoundError,
 )
 from .numerics import (AIRY_DERIV_ZERO_COEFFS, AIRY_ZERO_COEFFS,
-                       alternating_hurwitz)
+                       alternating_hurwitz_many, hurwitz_many)
 from .precision import DEFAULT_DPS, rounded, working
 from .spectrum import SpectrumRecord
 
@@ -275,33 +278,36 @@ def _fit_tail_model(N, class_points, coeffs: BohrSommerfeldCoeffs,
 
 def _class_tail_sum(terms, k_start, parity_of_k):
     """sum over k >= k_start with k = parity_of_k (mod 2) of
-    sum_r coeff_r (k+1/2)^(-e_r), via Hurwitz zeta on the sublattice."""
+    sum_r coeff_r (k+1/2)^(-e_r).  On the sublattice k = k0 + 2j this is
+    sum_r coeff_r 2^(-e_r) zeta(e_r, (k0 + 1/2)/2), one batch of the
+    Hurwitz kernel, each value to a relative error."""
     k0 = k_start if k_start % 2 == parity_of_k else k_start + 1
+    terms = [(c, e) for c, e in terms if c != 0]
+    zs = hurwitz_many([e for _, e in terms], (k0 + mpf(1) / 2) / 2)
     acc = mpf(0)
     acc_abs = mpf(0)
-    for c, e in terms:
-        if c == 0:
-            continue
-        z = mpmath.power(2, -e) * mpmath.zeta(e, (k0 + mpf(1) / 2) / 2)
+    for (c, e), z in zip(terms, zs):
+        z = mpmath.power(2, -e) * z
         acc += c * z
         acc_abs += abs(c) * abs(z)
     return acc, acc_abs
 
 
 def _lattice_tail_sum(terms, k_start, alternating):
-    """sum over all k >= k_start of [(-1)^k] sum_r coeff_r (k+1/2)^(-e_r).
-    The alternating case is a difference of Hurwitz zeta values, which stays
-    finite for exponents e_r <= 1 where the one-sided sums diverge."""
+    """sum over all k >= k_start of [(-1)^k] sum_r coeff_r (k+1/2)^(-e_r),
+    one batch of the Hurwitz kernel at a = k_start + 1/2.  The alternating
+    case is a difference of two Hurwitz batches at the half shifts, which
+    stays finite for exponents e_r <= 1 where the one-sided sums diverge."""
     acc = mpf(0)
     acc_abs = mpf(0)
     sign = -1 if (alternating and k_start % 2) else 1
-    for c, e in terms:
-        if c == 0:
-            continue
-        if alternating:
-            z = sign * alternating_hurwitz(e, k_start + mpf(1) / 2)
-        else:
-            z = mpmath.zeta(e, k_start + mpf(1) / 2)
+    terms = [(c, e) for c, e in terms if c != 0]
+    exps = [e for _, e in terms]
+    a = k_start + mpf(1) / 2
+    zs = (alternating_hurwitz_many(exps, a) if alternating
+          else hurwitz_many(exps, a))
+    for (c, e), z in zip(terms, zs):
+        z = sign * z
         acc += c * z
         acc_abs += abs(c) * abs(z)
     return acc, acc_abs
@@ -320,12 +326,40 @@ def _class_points(rec: SpectrumRecord):
     return [(rec.full_index(j), e) for j, e in enumerate(rec.eigenvalues)]
 
 
+#: terms of the inverse-power expansion of E_k^(-s) in every tail model
+TAIL_DEPTH = 5
+
+
+def _class_model(N, rec: SpectrumRecord, coeffs, dps, n_fit):
+    """(_TailModel, relative holdout error) for one parity record, at the
+    ambient precision: the exact Airy expansion for N=1, else a fit."""
+    if N == 1:
+        model = _airy_tail_model(rec.parity == "+", TAIL_DEPTH)
+        k_chk, e_chk = _class_points(rec)[-1]
+        return model, max(mpf(10) ** (-dps),
+                          abs(model.energy(k_chk) / e_chk - 1))
+    return _fit_tail_model(N, _class_points(rec), coeffs, n_fit, TAIL_DEPTH)
+
+
+def tail_models(N: int, records, coeffs: BohrSommerfeldCoeffs,
+                dps: int = DEFAULT_DPS, n_fit: int = 3) -> dict:
+    """{parity: (_TailModel, relative holdout error)} for every record.  No
+    model depends on s, so a table of zeta values fits each record once and
+    hands the models to `zeta_em`."""
+    with working(dps, 10):
+        return {p: _class_model(N, rec, coeffs, dps, n_fit)
+                for p, rec in _normalize_records(records).items()}
+
+
 def zeta_em(N: int, kind: str, s, records,
             coeffs: BohrSommerfeldCoeffs = None,
-            dps: int = DEFAULT_DPS, n_fit: int = 3) -> ZetaValue:
+            dps: int = DEFAULT_DPS, n_fit: int = 3,
+            models: dict = None) -> ZetaValue:
     """Zeta value of the requested kind at s > 0 from computed spectra plus
     the semiclassical tail.  `records` is a SpectrumRecord or a pair of them;
-    kinds 'full' and 'twisted' need both parities, 'plus'/'minus' need one."""
+    kinds 'full' and 'twisted' need both parities, 'plus'/'minus' need one.
+    `models` may supply the records' `tail_models` (same dps and n_fit);
+    otherwise each needed record is fitted here."""
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
     recs = _normalize_records(records)
@@ -349,7 +383,6 @@ def zeta_em(N: int, kind: str, s, records,
             if p not in recs:
                 raise InsufficientTermsError(f"missing parity {p} spectrum")
 
-        depth = 5
         weights = {"full": {0: 1, 1: 1}, "twisted": {0: 1, 1: -1},
                    "plus": {0: 1}, "minus": {1: 1}}[kind]
 
@@ -370,21 +403,13 @@ def zeta_em(N: int, kind: str, s, records,
                 if k < k_tail:
                     head += w * e ** (-s)
 
-        models = {}
-        rels = {}
+        fits = models or {p: _class_model(N, recs[p], coeffs, dps, n_fit)
+                          for p in need}
+        terms, rels = {}, {}
         for p in need:
             cls = 0 if p == "+" else 1
-            if N == 1:
-                model = _airy_tail_model(cls == 0, depth)
-                pts = _class_points(recs[p])
-                k_chk, e_chk = pts[-1]
-                rel = max(mpf(10) ** (-dps),
-                          abs(model.energy(k_chk) / e_chk - 1))
-            else:
-                model, rel = _fit_tail_model(N, _class_points(recs[p]),
-                                             coeffs, n_fit, depth)
-            models[cls] = model.inverse_power_terms(s)
-            rels[cls] = rel
+            model, rels[cls] = fits[p]
+            terms[cls] = model.inverse_power_terms(s)
 
         tail = mpf(0)
         err = mpf(0)
@@ -392,7 +417,7 @@ def zeta_em(N: int, kind: str, s, records,
             # split the class-dependent expansions into even/odd average g
             # and half-difference h over the shared exponent basis; then
             # full = sum g + alternating sum h, twisted = the reverse
-            te, to = models[0], models[1]
+            te, to = terms[0], terms[1]
             g = [((ce + co) / 2, e) for (ce, e), (co, _) in zip(te, to)]
             h = [((ce - co) / 2, e) for (ce, e), (co, _) in zip(te, to)]
             smooth, osc = (g, h) if kind == "full" else (h, g)
@@ -403,7 +428,7 @@ def zeta_em(N: int, kind: str, s, records,
             err = abs(s) * rel * (a1 + a2) * 2
         else:
             cls = 0 if kind == "plus" else 1
-            tail, t_abs = _class_tail_sum(models[cls], k_tail, cls)
+            tail, t_abs = _class_tail_sum(terms[cls], k_tail, cls)
             err = abs(s) * rels[cls] * t_abs * 2
 
         value = head + tail

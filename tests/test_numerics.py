@@ -8,7 +8,13 @@ import mpmath as mp
 import pytest
 
 from osczeta import numerics
-from osczeta.errors import CertificationError, GammaPoleError
+from osczeta.errors import (
+    CertificationError,
+    DivergentSeriesError,
+    GammaPoleError,
+    SummationPoleError,
+    TailBoundError,
+)
 from osczeta.numerics import (
     IntegerSequenceKind,
     airy_eval,
@@ -21,6 +27,7 @@ from osczeta.numerics import (
     euler_number,
     genocchi_number,
     gamma,
+    hurwitz_many,
     hyper_4f3,
     integer_sequence,
 )
@@ -118,6 +125,77 @@ class TestAlternatingHurwitz:
     def test_rejects_nonpositive_shift(self):
         with pytest.raises(ValueError):
             alternating_hurwitz(2, 0)
+
+
+# the alternating grid above plus the runs e0 + 2r that the tail sums ask for
+HURWITZ_EXPONENTS = ["2/3", "31/32", "3/2", "2", "5/2", "3", "7/2", "15/2",
+                     "12", "25/2", "25", "79/2", "40"]
+HURWITZ_SHIFTS = ["1/4", "1/2", "3/4", "21/4", "21/2", "61/4", "121/4",
+                  "121/2"]
+
+
+def _hurwitz_grid():
+    """The exponent grid, plus the runs e0 + 2r (r = 0..4) for e0 = 10/3 and
+    18/5, formed in mpf arithmetic as the tail sums form them."""
+    out = [mp.mpmathify(Fraction(e)) for e in HURWITZ_EXPONENTS]
+    for e0 in (Fraction(10, 3), Fraction(18, 5)):
+        out += [mp.mpmathify(e0) + 2 * r for r in range(5)]
+    return out
+
+
+class TestHurwitzMany:
+    @pytest.mark.parametrize("dps", [16, 30, 41, 75])
+    @pytest.mark.parametrize("a", HURWITZ_SHIFTS)
+    def test_within_one_ulp_of_doubled_precision(self, dps, a):
+        with mp.workdps(dps):
+            a = mp.mpmathify(Fraction(a))
+            grid = _hurwitz_grid()
+            vals = hurwitz_many(grid, a)
+            for e, v in zip(grid, vals):
+                # mpmath.zeta sums to an absolute tolerance: the reference
+                # gets the magnitude of a^-e back as extra digits
+                extra = max(0, int(e * mp.log10(a))) + 10
+                with mp.workdps(2 * dps + extra):
+                    ref = mp.zeta(e, a)
+                ulp = mp.mpf(2) ** (mp.mag(v) - mp.mp.prec)
+                assert abs(v - ref) <= ulp, (dps, a, e)
+
+    @pytest.mark.parametrize("dps", [16, 41])
+    @pytest.mark.parametrize("a", ["1/4", "21/4", "121/4"])
+    def test_batch_equals_single_calls(self, dps, a):
+        with mp.workdps(dps):
+            a = mp.mpmathify(Fraction(a))
+            grid = _hurwitz_grid()
+            batch = hurwitz_many(grid, a)
+            single = [hurwitz_many([e], a)[0] for e in grid]
+            assert [v._mpf_ for v in batch] == [v._mpf_ for v in single]
+
+    def test_zeta_25_at_61_over_4_to_30_relative_digits(self):
+        with mp.workdps(30):
+            v = hurwitz_many([25], mp.mpf("15.25"))[0]
+        with mp.workdps(120):
+            ref = mp.zeta(25, mp.mpf("15.25"))
+            assert abs(v / ref - 1) < mp.mpf(10) ** -30
+
+    def test_pole_raises(self):
+        with pytest.raises(SummationPoleError):
+            hurwitz_many([2, 1, 3], mp.mpf("0.5"))
+
+    def test_nonpositive_exponent_raises(self):
+        with pytest.raises(DivergentSeriesError):
+            hurwitz_many([2, 0], mp.mpf("0.5"))
+
+    def test_unreachable_tail_bound_raises(self):
+        # 20000 digits need x = K + a past the head limit: refused up front
+        with mp.workdps(20000):
+            with pytest.raises(TailBoundError):
+                hurwitz_many([2], mp.mpf("0.5"))
+
+    def test_rejects_nonpositive_shift(self):
+        with pytest.raises(ValueError):
+            hurwitz_many([2], 0)
+        with pytest.raises(ValueError):
+            hurwitz_many([2], -1)
 
 
 class TestAiry:

@@ -4,6 +4,7 @@ import mpmath as mp
 import pytest
 
 from osczeta import closedforms as cf
+from osczeta import zetafns
 from osczeta.errors import (
     DivergentSeriesError,
     InsufficientTermsError,
@@ -17,6 +18,7 @@ from osczeta.zetafns import (
     functional_eq_residual,
     zeta_em,
 )
+from osczeta.verify import em_zeta_table, run_battery
 
 
 class TestBohrSommerfeld:
@@ -86,6 +88,40 @@ class TestZetaEM:
         with mp.workdps(40):
             ref = cf.zeta_one(3, "twisted", 35)
             assert abs(zv.value - ref) < mp.mpf(10) ** (-zv.certified_digits)
+
+
+class TestZetaTable:
+    def test_fits_each_record_once(self, spectra3, monkeypatch):
+        calls = []
+        fit = zetafns._fit_tail_model
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(zetafns, "_fit_tail_model", counted)
+        table = em_zeta_table(3, spectra3, 8, 20)
+        assert len(calls) == len(spectra3)
+        # the shared fits give what a fit per value gives, bit for bit
+        for key in (("full", 2), ("twisted", 1), ("plus", 5), ("minus", 8)):
+            alone = zeta_em(3, key[0], key[1], spectra3, dps=20)
+            assert table[key] == alone
+
+    def test_no_hurwitz_call_to_mpmath_zeta(self, spectra1, spectra3,
+                                             monkeypatch):
+        zeta = mp.zeta
+
+        def riemann_only(s, a=1, *args, **kwargs):
+            if a != 1:
+                raise AssertionError(f"mpmath.zeta({s}, {a}) called")
+            return zeta(s, a, *args, **kwargs)
+
+        monkeypatch.setattr(mp, "zeta", riemann_only)
+        # 4 kinds at orders 1..8; only the twisted sum converges at s = 1
+        # below mu = 3/2 (N=1), while mu = 5/6 for N=3
+        assert len(em_zeta_table(1, spectra1, 8, 30)) == 29
+        assert len(em_zeta_table(3, spectra3, 8, 20)) == 32
+        assert run_battery((2,), 8, 5).passed
 
 
 class TestDeterminant:
