@@ -29,7 +29,11 @@ def rho_ratio(dps: int = DEFAULT_DPS):
 
 
 def rho_from_airy(dps: int = DEFAULT_DPS):
-    """rho computed from the Airy function itself (independent route)."""
+    """rho = -Ai'(0)/Ai(0) from `airy_eval` at x = 0, which returns the
+    Taylor closed forms: 3^(1/3) Gamma(2/3) / Gamma(1/3).  It is independent
+    of `rho_ratio` through the Gamma formula (Gamma(1/3) here against
+    Gamma(2/3)^2 there, linked by the reflection formula), which is what
+    the mutual check tests."""
     with working(dps):
         v = -airy_eval(mp.mpf(0), 1, dps) / airy_eval(mp.mpf(0), 0, dps)
     return rounded(v, dps)

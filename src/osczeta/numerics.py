@@ -11,8 +11,8 @@ does the march of Ai(-t) that finds the Airy zeros (the N=1 spectra).  The
 Hurwitz kernel, `hurwitz_many`: every Hurwitz zeta of the package (the
 semiclassical tails of `zetafns`, the alternating sums, the N=2 closed
 forms) is a batch of exponents at one shift on it, each value to a relative
-error of one ulp.  `airy_eval` keeps its own power and asymptotic series, an
-independent route to Ai.
+error of one ulp.  Ai and Ai' themselves (`airy_eval`) come from the same
+march as the zeros, run to t = -x.
 """
 
 from __future__ import annotations
@@ -456,183 +456,83 @@ def airy_taylor_coefficient(n: int, dps: int = DEFAULT_DPS):
     return rounded(val, dps)
 
 
-def _airy_taylor(x, dps: int):
-    """(Ai, Ai') from one pass of the power series about 0 (entire)."""
-    xi = mpf(2) / 3 * abs(mpmath.mpf(x)) ** mpf(1.5)
-    guard = 20 + int(2 * xi * 0.4343)  # cancellation grows like exp(2 xi)
-    with working(dps, guard):
-        x = mpf(x)
-        tol = mpf(10) ** (-(dps + GUARD + 10))
-        ai0 = mpmath.power(3, mpf(-2) / 3) / mpmath.gamma(mpf(2) / 3)
-        aip0 = -mpmath.power(3, mpf(-1) / 3) / mpmath.gamma(mpf(1) / 3)
-        # f: a0=1 branch, g: a1=1 branch of y'' = x y; we track value and
-        # derivative series together.
-        f = mpf(1)
-        fp = mpf(0)
-        g = x
-        gp = mpf(1)
-        cf = mpf(1)          # coefficient a_{3k} of f
-        cg = mpf(1)          # coefficient a_{3k+1} of g
-        xp3 = x ** 3
-        xf = mpf(1)          # x^{3k}
-        xg = x               # x^{3k+1}
-        k = 0
-        kmin = abs(x) ** mpf(1.5) + 3   # past the peak term
-        while True:
-            k += 1
-            cf = cf / ((3 * k) * (3 * k - 1))
-            cg = cg / ((3 * k + 1) * (3 * k))
-            xf *= xp3
-            xg *= xp3
-            tf = cf * xf
-            tg = cg * xg
-            f += tf
-            g += tg
-            fp += (3 * k) * cf * xf / x if x != 0 else mpf(0)
-            gp += (3 * k + 1) * cg * xg / x if x != 0 else mpf(0)
-            if k > kmin:
-                # the terms run up to about exp(xi) times the result, so
-                # they stop against the result (Ai and Ai' share no zero)
-                terms = (abs(tf) + abs(tg)) * (1 + (3 * k + 1) / abs(x)) \
-                    if x != 0 else 0
-                scale = abs(ai0 * f + aip0 * g) + abs(ai0 * fp + aip0 * gp)
-                if terms < tol * scale:
-                    break
-        val = ai0 * f + aip0 * g
-        der = ai0 * fp + aip0 * gp
-    return rounded(val, dps), rounded(der, dps)
+#: march budget of `airy_eval`: grid steps, and digits carried beyond dps
+#: for the recessive side (x > 0)
+AIRY_MAX_STEPS = 4096
+AIRY_MAX_EXTRA_DIGITS = 200
 
 
-def _asymptotic_u_terms(max_terms: int):
-    """Generator of the u_k (and v_k) coefficients of the large-x expansions."""
-    u = mpf(1)
-    yield u, mpf(1)
-    for k in range(1, max_terms):
-        u = u * (6 * k - 5) * (6 * k - 3) * (6 * k - 1) / (216 * k * (2 * k - 1))
-        v = u * (6 * k + 1) / mpf(1 - 6 * k)
-        yield u, v
+def _airy_local(t, y, yp, s, P, tol):
+    """(y, y') at t + s from (y, y') at t for y(t) = Ai(-t), y'' = -t y: one
+    step of the Taylor kernel, all in fixed point 2^-P, s of either sign."""
+    if s == 0:
+        return y, yp
+    u = [-(t * s * s >> 2 * P), -(s * s * s >> 2 * P)]
+    val, hder = _taylor_step(u, P, tol * abs(s) >> P,
+                             [(y, yp * s >> P)], s * s >> P)
+    return val, (hder << P) // s
 
 
-def _sum_asymptotic(xi, parity_filter, use_v, tol, sign_of_k=None):
-    """Truncated sum of sign(k) c_k xi^(-k) over k in the parity class; stops
-    at the smallest term and returns (sum, first omitted term magnitude)."""
-    if sign_of_k is None:
-        sign_of_k = lambda k: (-1) ** k
-    acc = mpf(0)
-    prev = mpmath.inf
-    k = 0
-    for u, v in _asymptotic_u_terms(10000):
-        c = v if use_v else u
-        if parity_filter(k):
-            term = sign_of_k(k) * c / xi ** k
-            if abs(term) > prev:
-                return acc, prev
-            acc += term
-            prev = abs(term)
-            if prev < tol:
-                return acc, prev
-        k += 1
-    return acc, prev
-
-
-def _airy_asymptotic(x, derivative: int, dps: int):
-    with working(dps, 10):
-        x = mpf(x)
-        tol = mpf(10) ** (-(dps + 5))
-        sqrtpi = mpmath.sqrt(mpmath.pi)
-        if x > 0:
-            xi = mpf(2) / 3 * x ** mpf(1.5)
-            s, err = _sum_asymptotic(xi, lambda k: True, derivative == 1, tol)
-            scale = mpmath.exp(-xi) / (2 * sqrtpi)
-            if derivative == 0:
-                val = scale * s / x ** mpf(0.25)
-            else:
-                val = -scale * s * x ** mpf(0.25)
-            bound = abs(scale) * err
-        else:
-            z = -x
-            zeta = mpf(2) / 3 * z ** mpf(1.5)
-            ang = zeta - mpmath.pi / 4
-            pair_sign = lambda k: (-1) ** (k // 2)
-            if derivative == 0:
-                se, ee = _sum_asymptotic(zeta, lambda k: k % 2 == 0, False, tol, pair_sign)
-                so, eo = _sum_asymptotic(zeta, lambda k: k % 2 == 1, False, tol, pair_sign)
-                val = (mpmath.cos(ang) * se + mpmath.sin(ang) * so) / (sqrtpi * z ** mpf(0.25))
-                bound = (ee + eo) / (sqrtpi * z ** mpf(0.25))
-            else:
-                se, ee = _sum_asymptotic(zeta, lambda k: k % 2 == 0, True, tol, pair_sign)
-                so, eo = _sum_asymptotic(zeta, lambda k: k % 2 == 1, True, tol, pair_sign)
-                val = (mpmath.sin(ang) * se - mpmath.cos(ang) * so) * z ** mpf(0.25) / sqrtpi
-                bound = (ee + eo) * z ** mpf(0.25) / sqrtpi
-        # certify against the envelope scale: near a zero the value itself
-        # cancels, but an absolute error at envelope scale is still fine
-        if x > 0:
-            scale = abs(mpmath.exp(-xi) / (2 * sqrtpi)) * max(mpf(1), abs(s))
-            if derivative == 0:
-                scale /= x ** mpf(0.25)
-            else:
-                scale *= x ** mpf(0.25)
-        else:
-            z = -x
-            if derivative == 0:
-                scale = (abs(se) + abs(so)) / (sqrtpi * z ** mpf(0.25)) + abs(val)
-            else:
-                scale = (abs(se) + abs(so)) * z ** mpf(0.25) / sqrtpi + abs(val)
-        if bound > mpf(10) ** (-dps) * max(scale, mpf(10) ** (-dps)):
-            raise PrecisionUnreachableError(
-                f"asymptotic Airy series cannot certify {dps} digits at x={x}")
-    return rounded(val, dps)
-
-
-#: Taylor/asymptotic switchover floor; above this AND above the precision-driven
-#: threshold the asymptotic series is used.  Tested, not assumed.
-AIRY_SWITCHOVER = 6.0
-
-
-def _airy_pair(x, dps: int) -> tuple:
-    """(Ai(x), Ai'(x)): Taylor near the origin, asymptotic beyond it."""
-    # smallest |x| at which the asymptotic series can reach ~dps digits
-    xi_min = (dps + 5) * math.log(10) / 2
-    x_star = (1.5 * xi_min) ** (2.0 / 3.0)
-    if abs(float(x)) >= max(AIRY_SWITCHOVER, x_star):
-        return _airy_asymptotic(x, 0, dps), _airy_asymptotic(x, 1, dps)
-    return _airy_taylor(x, dps)
+def _airy_march(P, tol, stop=None):
+    """The grid march of y(t) = Ai(-t) in fixed point 2^-P, at tolerance
+    `tol` of the Taylor kernel.  Starts at t = 0 from Ai(0) and -Ai'(0) at
+    the ambient precision and takes steps h = min(1/4, 1/(2 sqrt|t|)) toward
+    `stop` (the last step ends on it; negative for x > 0), or upward without
+    end.  Yields (t, h, y, y', y at t + h, y' at t + h) for each step."""
+    dps = mpmath.mp.dps
+    y = int(mpmath.ldexp(airy_taylor_coefficient(0, dps), P))
+    yp = -int(mpmath.ldexp(airy_taylor_coefficient(1, dps), P))
+    t = 0
+    while t != stop:
+        h = int(mpmath.ldexp(
+            min(0.25, 0.5 / math.sqrt(max(abs(t) / (1 << P), 1.0))), P))
+        if stop is not None:
+            h = min(h, stop - t) if stop > 0 else max(-h, stop - t)
+        y_b, yp_b = _airy_local(t, y, yp, h, P, tol)
+        yield t, h, y, yp, y_b, yp_b
+        t, y, yp = t + h, y_b, yp_b
 
 
 def airy_eval(x, derivative: int = 0, dps: int = DEFAULT_DPS):
-    """Ai(x) (derivative=0) or Ai'(x) (derivative=1) to dps digits, real x."""
+    """Ai(x) (derivative=0) or Ai'(x) (derivative=1) to dps digits, real x.
+
+    The march of `airy_negative_zeros` run from t = 0 to t = -x; at x = 0 it
+    takes no step and returns `airy_taylor_coefficient(derivative, dps)`.
+    For x > 0 it carries 2 xi / ln 10 extra digits, xi = (2/3) x^(3/2),
+    because an error grows like Bi/Ai ~ e^(2 xi) on the recessive side.
+    Supported are x whose march takes at most AIRY_MAX_STEPS steps (about
+    (4/3)|x|^(3/2): |x| <= 211) and needs at most AIRY_MAX_EXTRA_DIGITS
+    extra digits (x <= 49); beyond them PrecisionUnreachableError is raised
+    before the first step.  A non-finite x raises ValueError.
+    """
     if derivative not in (0, 1):
         raise ValueError("derivative must be 0 or 1")
-    return _airy_pair(x, dps)[derivative]
-
-
-# Rational coefficients of the large-index expansions of the negative-axis
-# zeros:  a_k = -T((3 pi/8)(4k-1)),  a'_k = -U((3 pi/8)(4k-3)),
-# T(t) = t^(2/3)(1 + sum T_COEFFS[j] t^(-2j)), likewise U.
-AIRY_ZERO_COEFFS = [Fraction(5, 48), Fraction(-5, 36), Fraction(77125, 82944),
-                    Fraction(-108056875, 6967296)]
-AIRY_DERIV_ZERO_COEFFS = [Fraction(-7, 48), Fraction(35, 288),
-                          Fraction(-181223, 207360), Fraction(18683371, 1244160)]
-
-
-def airy_zero_asymptotic(k: int, derivative: int, dps: int = DEFAULT_DPS):
-    """Asymptotic estimate of the k-th (1-based) zero magnitude of Ai / Ai'."""
-    coeffs = AIRY_DERIV_ZERO_COEFFS if derivative else AIRY_ZERO_COEFFS
-    off = 3 if derivative else 1
-    with working(dps):
-        t = 3 * mpmath.pi / 8 * (4 * k - off)
-        s = mpf(1)
-        prev = mpmath.inf
-        # asymptotic series: stop at the smallest term (it diverges for
-        # small t, e.g. the first zero of Ai')
-        for j, c in enumerate(coeffs, start=1):
-            term = mpf(c.numerator) / c.denominator * t ** (-2 * j)
-            if abs(term) >= prev:
-                break
-            s += term
-            prev = abs(term)
-        val = t ** (mpf(2) / 3) * s
-    return rounded(val, dps)
+    with working(dps, 15):
+        x = mpmath.mpmathify(x)     # a string parses at working precision
+    if not mpmath.isfinite(x):
+        raise ValueError(f"airy_eval requires a finite x, got {x}")
+    # in mpf, whose exponent does not overflow at any finite x
+    a = abs(x)
+    steps = 4 * min(a, 4) + 4 * (max(a, 4) ** 1.5 - 8) / 3
+    xi = 2 * max(x, 0) ** 1.5 / 3
+    extra = mpmath.ceil(2 * xi / mpmath.ln10)
+    if steps > AIRY_MAX_STEPS or extra > AIRY_MAX_EXTRA_DIGITS:
+        raise PrecisionUnreachableError(
+            f"airy_eval at x = {mpmath.nstr(x, 8)} needs about "
+            f"{mpmath.nstr(steps, 3)} march steps and {mpmath.nstr(extra, 3)} "
+            f"extra digits (budget {AIRY_MAX_STEPS} and "
+            f"{AIRY_MAX_EXTRA_DIGITS})")
+    extra = int(extra)
+    with working(dps, 15 + extra):
+        P = mpmath.mp.prec + 8
+        stop = int(mpmath.ldexp(-x, P))
+        if stop == 0:
+            return airy_taylor_coefficient(derivative, dps)
+        tol = int(mpmath.ldexp(mpf(10) ** (-(dps + GUARD + 10 + extra)), P))
+        for *_, y, yp in _airy_march(P, tol, stop):
+            pass
+    with mpmath.workdps(dps):
+        return mpf((-yp if derivative else y, -P))
 
 
 def airy_negative_zeros(count: int, derivative: int = 0,
@@ -640,11 +540,11 @@ def airy_negative_zeros(count: int, derivative: int = 0,
     """Magnitudes of the first `count` negative zeros of Ai (or Ai'), in order.
 
     One march of y(t) = Ai(-t), y'' = -t y, from t = 0 on the integer Taylor
-    kernel with steps h = min(1/4, 1/(2 sqrt t)).  The phase advances by at
-    most 0.5 rad a step, so a step holds at most one zero of y and one of
-    y', and the k-th sign change of y (or y') on the grid is the k-th zero.
-    Each zero is found by Newton on the local Taylor step from the start of
-    its grid step and certified by a sign change across
+    kernel with steps h = min(1/4, 1/(2 sqrt t)) (`_airy_march`).  The phase
+    advances by at most 0.5 rad a step, so a step holds at most one zero of
+    y and one of y', and the k-th sign change of y (or y') on the grid is
+    the k-th zero.  Each zero is found by Newton on the local Taylor step
+    from the start of its grid step and certified by a sign change across
     x (1 +- 10^-(dps+4)/4).  An iterate that leaves its grid step, a missing
     sign change, or a march that runs past the asymptotic place of its last
     zero raises CertificationError.
@@ -658,19 +558,10 @@ def airy_negative_zeros(count: int, derivative: int = 0,
         tol = int(mpmath.ldexp(mpf(10) ** (-(dps + GUARD + 10)), P))
         delta = int(mpmath.ldexp(mpf(10) ** (-(dps + 4)) / 4, P))
 
-        def local(t, y, yp, s):
-            """(y, y') at t + s from (y, y') at t, all in fixed point."""
-            if s == 0:
-                return y, yp
-            u = [-(t * s * s >> 2 * P), -(s * s * s >> 2 * P)]
-            val, hder = _taylor_step(u, P, tol * abs(s) >> P,
-                                     [(y, yp * s >> P)], s * s >> P)
-            return val, (hder << P) // s
-
         def root(t, h, y, yp, s):
             """Zero of y (or y') in the grid step [t, t + h], from t + s."""
             for _ in range(60):
-                val, der = local(t, y, yp, s)
+                val, der = _airy_local(t, y, yp, s, P, tol)
                 # Newton on y, or on y' with y'' = -(t + s) y
                 step = (-((val << P) // der) if derivative == 0
                         else (der << 2 * P) // ((t + s) * val))
@@ -685,33 +576,28 @@ def airy_negative_zeros(count: int, derivative: int = 0,
                 raise CertificationError("Airy zero Newton did not converge")
             x = t + s
             dx = x * delta >> P
-            lo = local(t, y, yp, s - dx)[derivative]
-            hi = local(t, y, yp, s + dx)[derivative]
+            lo = _airy_local(t, y, yp, s - dx, P, tol)[derivative]
+            hi = _airy_local(t, y, yp, s + dx, P, tol)[derivative]
             if lo * hi > 0:
                 raise CertificationError(
                     f"no sign change around zero {len(zeros) + 1} of "
                     + ("Ai'(-t)" if derivative else "Ai(-t)"))
             return x
 
-        t = 0
-        y = int(mpmath.ldexp(airy_taylor_coefficient(0, ctx.dps), P))
-        yp = -int(mpmath.ldexp(airy_taylor_coefficient(1, ctx.dps), P))
         zeros = []
         # the asymptotic zeros (3 pi/8 (4k - 1))^(2/3) bound where the march
         # must have met them all; a march that runs past has lost its solution
         t_end = int(mpmath.ldexp((1.5 * math.pi * count) ** (2 / 3) + 2, P))
-        while len(zeros) < count:
+        for t, h, y, yp, y_b, yp_b in _airy_march(P, tol):
             if t > t_end:
                 raise CertificationError(
                     f"Airy march found {len(zeros)} of {count} zeros by "
                     f"t = {t / (1 << P):.6g}")
-            h = int(mpmath.ldexp(
-                min(0.25, 0.5 / math.sqrt(max(t / (1 << P), 1.0))), P))
-            y_b, yp_b = local(t, y, yp, h)
             fa, fb = (y, y_b) if derivative == 0 else (yp, yp_b)
             if (fa < 0) != (fb < 0):
                 zeros.append(root(t, h, y, yp, h * fa // (fa - fb)))
-            t, y, yp = t + h, y_b, yp_b
+                if len(zeros) == count:
+                    break
     with mpmath.workdps(dps):
         return [mpf((x, -P)) for x in zeros]
 

@@ -25,6 +25,7 @@ residual cross-checks everything.
 from __future__ import annotations
 
 import dataclasses
+from fractions import Fraction
 
 import mpmath
 from mpmath import mpf, mpc
@@ -36,8 +37,7 @@ from .errors import (
     SummationPoleError,
     TailBoundError,
 )
-from .numerics import (AIRY_DERIV_ZERO_COEFFS, AIRY_ZERO_COEFFS,
-                       alternating_hurwitz_many, hurwitz_many)
+from .numerics import alternating_hurwitz_many, hurwitz_many
 from .precision import DEFAULT_DPS, rounded, working
 from .spectrum import SpectrumRecord
 
@@ -119,15 +119,6 @@ class _XSeries:
     @property
     def depth(self):
         return len(self.f)
-
-    def mul(self, other: "_XSeries") -> "_XSeries":
-        T = min(self.depth, other.depth)
-        out = [mpf(0)] * T
-        for i, a in enumerate(self.f[:T]):
-            for j, b in enumerate(other.f[:T]):
-                if i + j < T:
-                    out[i + j] += a * b
-        return _XSeries(self.p + other.p, out)
 
     def add(self, other: "_XSeries") -> "_XSeries":
         # exponents must agree mod 2 with self.p >= other.p
@@ -221,6 +212,15 @@ class _TailModel:
             e = -(es.p - 2 * r)
             out.append((c * mpmath.power(self.a, -e), e))
         return out
+
+
+# Rational coefficients of the large-index expansions of the negative-axis
+# zeros:  a_k = -T((3 pi/8)(4k-1)),  a'_k = -U((3 pi/8)(4k-3)),
+# T(t) = t^(2/3)(1 + sum AIRY_ZERO_COEFFS[j] t^(-2j)), likewise U.
+AIRY_ZERO_COEFFS = [Fraction(5, 48), Fraction(-5, 36), Fraction(77125, 82944),
+                    Fraction(-108056875, 6967296)]
+AIRY_DERIV_ZERO_COEFFS = [Fraction(-7, 48), Fraction(35, 288),
+                          Fraction(-181223, 207360), Fraction(18683371, 1244160)]
 
 
 def _airy_tail_model(parity_even: bool, depth: int) -> _TailModel:

@@ -2,16 +2,18 @@
 
 import json
 import os
+import time
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
-from osczeta import numerics
+from osczeta import numerics, zetafns
 from osczeta.errors import (
     CertificationError,
     DivergentSeriesError,
     GammaPoleError,
+    PrecisionUnreachableError,
     SummationPoleError,
     TailBoundError,
 )
@@ -21,7 +23,6 @@ from osczeta.numerics import (
     airy_negative_zero,
     airy_negative_zeros,
     airy_taylor_coefficient,
-    airy_zero_asymptotic,
     alternating_hurwitz,
     bernoulli_number,
     euler_number,
@@ -216,15 +217,15 @@ class TestAiry:
             assert close(airy_eval(mp.mpf(x), deriv, 30), ref, "1e-27")
 
     def test_switchover_continuity(self):
-        # Taylor and asymptotic branches must agree around the hand-off
+        # one route on both sides of 6, where a series switchover once sat
         with mp.workdps(40):
             lo = airy_eval(mp.mpf("5.999"), 0, 30)
             hi = airy_eval(mp.mpf("6.001"), 0, 30)
             assert close(lo, mp.airyai(mp.mpf("5.999")), "1e-27")
             assert close(hi, mp.airyai(mp.mpf("6.001")), "1e-27")
 
-    # deep on the negative axis the series terms run up to about 1e40 times
-    # the result; the series must still stop against the result
+    # deep on the negative axis the march takes about 190 steps and must
+    # keep every digit
     @pytest.mark.parametrize("x", ["-20", "-25", "-27"])
     @pytest.mark.parametrize("deriv", [0, 1])
     def test_eval_deep_negative_axis(self, x, deriv):
@@ -235,11 +236,36 @@ class TestAiry:
 
     @pytest.mark.parametrize("deriv", [0, 1])
     def test_eval_relative_on_positive_axis(self, deriv):
-        # Ai(12) is about 1e-13 of the largest series term
-        with mp.workdps(60):
-            ref = mp.airyai(12, derivative=deriv)
-            assert abs(airy_eval(mp.mpf(12), deriv, 30) / ref - 1) \
-                < mp.mpf("1e-29")
+        # on the recessive side an error in the march grows like Bi/Ai,
+        # about 1e24 at 12 and 1e52 at 20, before it ends
+        for x in (12, 20):
+            with mp.workdps(60):
+                ref = mp.airyai(x, derivative=deriv)
+                assert abs(airy_eval(mp.mpf(x), deriv, 30) / ref - 1) \
+                    < mp.mpf("1e-29")
+
+    @pytest.mark.parametrize("dps", [15, 20, 21, 30, 50, 55, 60, 100])
+    @pytest.mark.parametrize("deriv", [0, 1])
+    def test_eval_at_origin_is_taylor_coefficient(self, dps, deriv):
+        # rho_from_airy divides these two values; the battery's printed
+        # rho residual depends on their last bit
+        assert airy_eval(mp.mpf(0), deriv, dps)._mpf_ == \
+            airy_taylor_coefficient(deriv, dps)._mpf_
+
+    @pytest.mark.parametrize("x", ["-1e6", "1e6"])
+    def test_eval_beyond_march_budget_fails_fast(self, x):
+        start = time.perf_counter()
+        with pytest.raises(PrecisionUnreachableError):
+            airy_eval(mp.mpf(x), 0, 30)
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("x", [mp.inf, -mp.inf, mp.nan, float("nan")],
+                             ids=["inf", "-inf", "nan", "float-nan"])
+    def test_eval_rejects_non_finite(self, x):
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            airy_eval(x, 0, 30)
+        assert time.perf_counter() - start < 1
 
     @pytest.mark.parametrize("k", [1, 2, 5, 12])
     @pytest.mark.parametrize("deriv", [0, 1])
@@ -248,11 +274,17 @@ class TestAiry:
             ref = -mp.airyaizero(k, derivative=deriv)
             assert close(airy_negative_zero(k, deriv, 30), ref, "1e-27")
 
-    def test_zero_asymptotic_approaches_truth(self):
-        # at large index the asymptotic form alone is already very accurate
-        with mp.workdps(30):
-            approx = airy_zero_asymptotic(40, 0, 25)
-            assert close(approx, -mp.airyaizero(40), "1e-15")
+    def test_tail_model_approaches_zero_40(self):
+        # at large index the N=1 tail model's asymptotic expansion alone is
+        # already very accurate; the 40th zero of Ai is level 79 of the
+        # merged spectrum ('-' parity), that of Ai' level 78 ('+')
+        for deriv in (0, 1):
+            with mp.workdps(30):
+                model = zetafns._airy_tail_model(deriv == 1,
+                                                 zetafns.TAIL_DEPTH)
+                approx = model.energy(2 * 40 - 1 - deriv)
+                assert close(approx, -mp.airyaizero(40, derivative=deriv),
+                             "1e-15")
 
 
 class TestAiryZeroMarch:
