@@ -16,6 +16,12 @@ exp(Z'(0)) = sin(nu pi); each higher order n, after normalization, reads
 
 with P_n a homogeneous weight-n polynomial in the twisted values ZP(m),
 m < n.  All coefficients live in the cyclotomic field of conductor 2(N+2).
+
+One loop over n does the derivation.  With log coefficients A_k, B_k of
+the two products, the exp coefficients follow from
+n E_n = sum_{k=1}^{n} k A_k E_{n-k}.  Once order n is solved for Z(n), that
+value goes into A_n and B_n (and so into E_n) before order n+1 starts: every
+later order is born in the twisted basis and no rhs is substituted.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from fractions import Fraction
 
 from .cyclo import CycloNumber, cos_pi_frac, rational
 from .errors import EliminationError, NotAMultipleError
-from .sympoly import SymPoly, TruncSeries, ZKind, ZSymbol
+from .sympoly import SymPoly, ZKind, ZSymbol, _mul_into
 
 CLASSIFICATIONS = ("Zprime0", "Zfull", "Ztwisted", "Zplus", "Zminus", "generic")
 
@@ -93,24 +99,6 @@ class SumRuleIdentity:
         }
 
 
-def _product_series(omega: CycloNumber, M: int):
-    """D+(l) D-(w l) and D+(w l) D-(l) up to order M, with the exp(-Z'(0))
-    prefactors handled globally.  Their logarithms have order-n coefficients
-    c_n (Z+(n) + w^n Z-(n)) and c_n (w^n Z+(n) + Z-(n)), c_n = (-1)^(n+1)/n,
-    i.e. c_n ((1 + w^n)/2 Z(n) +- (1 - w^n)/2 ZP(n))."""
-    log_a, log_b = [SymPoly.zero()], [SymPoly.zero()]
-    w_n = rational(1)
-    for n in range(1, M + 1):
-        w_n = w_n * omega
-        half_c = Fraction((-1) ** (n + 1), 2 * n)
-        full = ((ZSymbol(ZKind.ZFULL, n), 1),)
-        tw = ((ZSymbol(ZKind.ZTWISTED, n), 1),)
-        c_full, c_tw = (w_n + 1) * half_c, (1 - w_n) * half_c
-        log_a.append(SymPoly({full: c_full, tw: c_tw}))
-        log_b.append(SymPoly({full: c_full, tw: -c_tw}))
-    return TruncSeries(M, log_a).exp(), TruncSeries(M, log_b).exp()
-
-
 def derive_sum_rules(N: int, n_max: int):
     """Derive the identities of order 0..n_max for degree N."""
     if N < 1 or n_max < 0:
@@ -125,55 +113,72 @@ def derive_sum_rules(N: int, n_max: int):
         N, 0, SymPoly.symbol(ZSymbol(ZKind.ZPLUS_PRIME0, 0))
         + SymPoly.symbol(ZSymbol(ZKind.ZMINUS_PRIME0, 0)),
         SymPoly.zero(), "Zprime0", exp_rhs=cos_pi_frac(N, 2 * (N + 2)))]
-    if n_max == 0:
-        return out
 
-    exp_a, exp_b = _product_series(omega, n_max)
-
+    # log and exp coefficients of D+(l) D-(w l) (a) and D+(w l) D-(l) (b),
+    # with each solved Z(m) already replaced by its twisted-basis value
+    log_a, log_b = [None], [None]
+    exp_a, exp_b = [SymPoly.constant(1)], [SymPoly.constant(1)]
     # right-hand side (divided by exp(-Z'(0)), i.e. times sin(nu pi)):
     # 2i sin(nu pi) times 1 in general, times e^{-i pi l/4} = exp(-i ZP(1) l)
-    # for N=2, with pi/4 = ZP(1)
-    rhs_series = TruncSeries(n_max, [1])
+    # for N=2, with pi/4 = ZP(1); rhs_n is its order-n coefficient
+    rhs_step = SymPoly.zero()
     if N == 2:
-        rhs_series = TruncSeries(n_max, [0, SymPoly.symbol(
-            ZSymbol(ZKind.ZTWISTED, 1), -CycloNumber.zeta(4, 1))]).exp()
-
-    full_sub = {}          # Zfull(m) -> SymPoly in twisted symbols
+        rhs_step = SymPoly.symbol(ZSymbol(ZKind.ZTWISTED, 1),
+                                  -CycloNumber.zeta(4, 1))
+    rhs_n = SymPoly.constant(1)
+    w_n = rational(1)
     for n in range(1, n_max + 1):
+        # the order-n log coefficients are c_n (Z+(n) + w^n Z-(n)) and
+        # c_n (w^n Z+(n) + Z-(n)), c_n = (-1)^(n+1)/n, i.e.
+        # c_n ((1 + w^n)/2 Z(n) +- (1 - w^n)/2 ZP(n))
+        w_n = w_n * omega
+        half_c = Fraction((-1) ** (n + 1), 2 * n)
+        full, tw = ZSymbol(ZKind.ZFULL, n), ZSymbol(ZKind.ZTWISTED, n)
+        log_full, log_tw = (w_n + 1) * half_c, (1 - w_n) * half_c
+        log_a.append(SymPoly({((full, 1),): log_full, ((tw, 1),): log_tw}))
+        log_b.append(SymPoly({((full, 1),): log_full, ((tw, 1),): -log_tw}))
+        # n E_n = sum_k k A_k E_{n-k}; the k = n term A_n is added below
+        lower_a, lower_b = {}, {}
+        for k in range(1, n):
+            scale = rational(Fraction(k, n))
+            _mul_into(lower_a, log_a[k].terms, exp_a[n - k].terms, scale)
+            _mul_into(lower_b, log_b[k].terms, exp_b[n - k].terms, scale)
+        lower_a, lower_b = SymPoly(lower_a), SymPoly(lower_b)
+        rhs_n = (rhs_n * rhs_step).scaled(Fraction(1, n))
+
         fnorm = rational(Fraction((-1) ** (n + 1) * n)) \
             * (zeta_inv ** (2 * n)) * two_i_sin.inverse()
-        raw = exp_a.coefficient(n).scaled(zeta * fnorm) \
-            - exp_b.coefficient(n).scaled(zeta_inv * fnorm) \
-            - rhs_series.coefficient(n).scaled(two_i_sin * fnorm)
+        raw = (lower_a + log_a[n]).scaled(zeta * fnorm) \
+            - (lower_b + log_b[n]).scaled(zeta_inv * fnorm) \
+            - rhs_n.scaled(two_i_sin * fnorm)
 
         # terms carrying an order-n symbol stay left, the rest move right
         top = {mo for mo in raw.terms if any(s.order == n for s, _ in mo)}
         lhs = SymPoly({mo: c for mo, c in raw.terms.items() if mo in top})
         rhs = SymPoly({mo: -c for mo, c in raw.terms.items()
-                       if mo not in top}).substitute(full_sub)
+                       if mo not in top})
 
-        if lhs.is_zero() and rhs.is_zero():
-            out.append(SumRuleIdentity(N, n, lhs, rhs, classify_lhs(N, n),
-                                       degenerate=True))
-            continue
-
+        degenerate = lhs.is_zero() and rhs.is_zero()
         leftover = [s for s in rhs.symbols() if s.kind is ZKind.ZFULL]
         if leftover:
             raise AssertionError(
                 f"unreduced full symbols {leftover} at N={N}, n={n}")
         if not rhs.is_homogeneous(n):
             raise AssertionError(f"inhomogeneous rhs at N={N}, n={n}")
-
-        c_full = lhs.terms.get(((ZSymbol(ZKind.ZFULL, n), 1),))
-        c_tw = lhs.terms.get(((ZSymbol(ZKind.ZTWISTED, n), 1),))
+        c_full = lhs.terms.get(((full, 1),))
         if c_full is not None and not c_full.is_zero():
-            # Zfull(n) = (rhs - c_tw * Ztw(n)) / c_full
+            # Z(n) = (rhs - c_tw * ZP(n)) / c_full, put into A_n and B_n
             expr = rhs
+            c_tw = lhs.terms.get(((tw, 1),))
             if c_tw is not None:
-                expr = expr - SymPoly.symbol(ZSymbol(ZKind.ZTWISTED, n), c_tw)
-            full_sub[ZSymbol(ZKind.ZFULL, n)] = expr.scaled(c_full.inverse())
-
-        out.append(SumRuleIdentity(N, n, lhs, rhs, classify_lhs(N, n)))
+                expr = expr - SymPoly.symbol(tw, c_tw)
+            expr = expr.scaled(c_full.inverse() * log_full)
+            log_a[n] = expr + SymPoly.symbol(tw, log_tw)
+            log_b[n] = expr - SymPoly.symbol(tw, log_tw)
+        out.append(SumRuleIdentity(N, n, lhs, rhs, classify_lhs(N, n),
+                                   degenerate=degenerate))
+        exp_a.append(lower_a + log_a[n])
+        exp_b.append(lower_b + log_b[n])
     return out
 
 

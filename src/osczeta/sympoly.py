@@ -5,7 +5,10 @@ A ZSymbol names one abstract spectral-zeta quantity (a full, twisted, or
 parity-restricted value at integer order, or a derivative at zero).  SymPoly
 is an exact multivariate polynomial in these symbols with CycloNumber
 coefficients; TruncSeries is a polynomial-coefficient power series in an
-expansion variable, truncated at a fixed order with exact arithmetic.
+expansion variable, truncated at a fixed order with exact arithmetic.  The
+sum-rule derivation runs its own order-by-order exp recurrence on SymPoly
+terms, so nothing in the package calls TruncSeries; perfbench/spans.py
+still times its methods by name.
 """
 
 from __future__ import annotations

@@ -465,8 +465,10 @@ def determinant_series(N: int, kind: str, lam, zeta_values, Zprime0,
             raise RadiusExceededError(
                 f"|lambda| = {abs(lam)} outside estimated radius {radius}")
         acc = -mpmath.mpmathify(Zprime0)
+        power = 1                          # (-lambda)^n, kept running
         for n in range(1, M + 1):
-            acc -= vals[n - 1] * (-lam) ** n / n
+            power *= -lam
+            acc -= vals[n - 1] * power / n
         # geometric bound on the dropped orders
         r = abs(lam) / radius
         tail = abs(vals[M - 1]) * abs(lam) ** M / M * r / (1 - r)

@@ -16,6 +16,12 @@ SNAPSHOT_PATH = os.path.join(os.path.dirname(__file__), "data",
 with open(SNAPSHOT_PATH, encoding="utf-8") as _fh:
     DERIVE_SNAPSHOT = json.load(_fh)
 
+# the same at nmax 12, recorded with the derivation that expanded both
+# exponentials in full before substituting the earlier Z(m) eliminations
+with open(os.path.join(os.path.dirname(__file__), "data",
+                       "derive_snapshot_nmax12.json"), encoding="utf-8") as _fh:
+    DEEP_DERIVE_SNAPSHOT = json.load(_fh)
+
 # `osczeta verify --format json` stdout for small N=1 and N=2 runs, and the
 # default battery's JSON, recorded with mpmath's lerchphi on the alternating
 # routes that the alternating Hurwitz kernel replaces
@@ -100,6 +106,17 @@ class TestDeriveSnapshot:
         nmax = str(DERIVE_SNAPSHOT["nmax"])
         assert run(["derive", "--N", N, "--nmax", nmax]) == 0
         assert capsys.readouterr().out == DERIVE_SNAPSHOT["text"][N]
+
+
+class TestDeepDeriveSnapshot:
+    """The derive text at nmax 12 is fixed byte for byte, for every degree
+    1..10."""
+
+    @pytest.mark.parametrize("N", sorted(DEEP_DERIVE_SNAPSHOT["text"], key=int))
+    def test_text_is_byte_identical(self, N, capsys):
+        nmax = str(DEEP_DERIVE_SNAPSHOT["nmax"])
+        assert run(["derive", "--N", N, "--nmax", nmax]) == 0
+        assert capsys.readouterr().out == DEEP_DERIVE_SNAPSHOT["text"][N]
 
 
 class TestVerifySnapshot:

@@ -356,6 +356,18 @@ class TestDerivationReuse:
             autonomous_full_identity(2, n)
 
 
+class TestDerivationWork:
+    @pytest.mark.parametrize("N", range(1, 11))
+    def test_derivation_substitutes_nothing(self, N, monkeypatch):
+        # each solved Z(n) goes into the series coefficients once, so no
+        # later rhs is rewritten
+        def refuse(self, mapping):
+            raise AssertionError("derive_sum_rules called substitute")
+
+        monkeypatch.setattr(SymPoly, "substitute", refuse)
+        assert [i.order for i in derive_sum_rules(N, 10)] == list(range(11))
+
+
 class TestCopyAndPickle:
     @pytest.mark.parametrize("copier", [
         copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
