@@ -681,18 +681,21 @@ def hyper_4f3(upper, lower, dps: int = DEFAULT_DPS):
         f = lambda x: c0 * t_func(x)
         integral = mpmath.quad(f, [mpf(K), mpmath.inf])
         tail = integral + f(mpf(K)) / 2
-        # derivatives of f via the logarithmic derivative (exact polygammas)
+        # derivatives of f via the logarithmic derivative (exact polygammas),
+        # each order computed when the correction loop below first needs it
         jmax = dps // 2 + 12
-        L = [log_deriv(m, mpf(K)) for m in range(0, 2 * jmax)]
+        L = []
         derivs = [f(mpf(K))]
-        for m in range(1, 2 * jmax):
-            d = mpf(0)
-            for j in range(m):
-                d += mpmath.binomial(m - 1, j) * derivs[j] * L[m - 1 - j]
-            derivs.append(d)
         prev = mpmath.inf
         ok = False
         for j in range(1, jmax):
+            while len(derivs) < 2 * j:
+                m = len(derivs)
+                L.append(log_deriv(m - 1, mpf(K)))
+                d = mpf(0)
+                for i in range(m):
+                    d += mpmath.binomial(m - 1, i) * derivs[i] * L[m - 1 - i]
+                derivs.append(d)
             b2j = mpf(bernoulli_number(2 * j).numerator) / bernoulli_number(2 * j).denominator
             corr = -b2j / mpmath.factorial(2 * j) * derivs[2 * j - 1]
             if abs(corr) > prev:

@@ -21,8 +21,8 @@ from .precision import DEFAULT_DPS, agree_digits, working
 from .spectrum import counting_check, eigenvalues
 from .sumrules import derive_sum_rules, solved_form
 from .sympoly import ZKind, ZSymbol
-from .zetafns import (BohrSommerfeldCoeffs, bohr_sommerfeld_b0,
-                      functional_eq_residual, tail_models, zeta_em)
+from .zetafns import (KINDS, bohr_sommerfeld_b0, functional_eq_residual,
+                      zeta_values)
 
 # past ~30 digits the Euler-Maclaurin tail, not the eigenvalue accuracy,
 # limits every EM-based check, so higher spectral precision is wasted time
@@ -127,17 +127,10 @@ def compute_spectra(N: int, count: int, digits: int):
 def em_zeta_table(N, recs, n_max, dps):
     """{(kind, n): ZetaValue} for n = 1..n_max (orders below the abscissa
     of convergence are silently skipped)."""
-    out = {}
     mu = mp.mpf(N + 2) / (2 * N)
-    coeffs = BohrSommerfeldCoeffs.compute(N, dps)
-    models = tail_models(N, recs, coeffs, dps)
-    for n in range(1, n_max + 1):
-        for kind in ("full", "twisted", "plus", "minus"):
-            if kind != "twisted" and n <= mu:
-                continue
-            out[(kind, n)] = zeta_em(N, kind, n, recs, coeffs, dps,
-                                     models=models)
-    return out
+    return zeta_values(N, recs, [(kind, n) for n in range(1, n_max + 1)
+                                 for kind in KINDS
+                                 if kind == "twisted" or n > mu], dps)
 
 
 def _symbol_values(N, table, digits):
@@ -284,12 +277,11 @@ def _airy_checks(airy, digits):
     # hit the exact values on its own, independent of the closed forms
     dps = spectral_dps(1, digits)
     rec30 = tuple(rec.prefix(AIRY_LEVELS) for rec in airy)
+    em = zeta_values(1, rec30, [("plus", 3), ("minus", 2)], dps)
     out.append(_check("N1.zplus3.em", "Z+(3) = 1 from a 30-eigenvalue sum",
-                      1, zeta_em(1, "plus", 3, rec30[0], dps=dps).value,
-                      mp.mpf("1e-20")))
+                      1, em[("plus", 3)].value, mp.mpf("1e-20")))
     out.append(_check("N1.zminus2.em", "Z-(2) = rho^2 from eigenvalue sum",
-                      rho_g ** 2, zeta_em(1, "minus", 2, rec30[1],
-                                          dps=dps).value, mp.mpf("1e-20")))
+                      rho_g ** 2, em[("minus", 2)].value, mp.mpf("1e-20")))
     rho_a = cf("RO.airy", None, digits)
     out.append(_check("N1.rho.paper", "rho reference value 0.729011133",
                       rho_g, mp.mpf("0.729011133"), mp.mpf("5e-10")))
@@ -368,27 +360,26 @@ def _cubic_checks(recs, table, digits):
     out.append(_check("N3.z1.paper", "Z(1) reference 3.319386965494",
                       cf("Z1.full", 3, digits),
                       mp.mpf("3.319386965494"), mp.mpf("5e-13")))
+    # the two 4F3 closed forms are the costly ones: evaluate each once
+    z2, zminus2 = cf("Z32", 3, digits), cf("Z3minus2", 3, digits)
     out.append(_check("N3.z2.paper", "Z(2) hypergeometric form 1.098003371",
-                      cf("Z32", 3, digits),
-                      mp.mpf("1.098003371"), mp.mpf("5e-10")))
+                      z2, mp.mpf("1.098003371"), mp.mpf("5e-10")))
     out.append(_check("N3.zminus2.paper",
                       "Z-(2) hypergeometric form 0.104481190",
-                      cf("Z3minus2", 3, digits),
-                      mp.mpf("0.104481190"), mp.mpf("5e-10")))
+                      zminus2, mp.mpf("0.104481190"), mp.mpf("5e-10")))
     out.append(_check("N3.zplus2.routes",
                       "Z+(2): golden-ratio form vs Z(2) - Z-(2)",
-                      cf("Z3plus2", 3, digits),
-                      cf("Z32", 3, digits) - cf("Z3minus2", 3, digits),
+                      cf("Z3plus2", 3, digits), z2 - zminus2,
                       mp.mpf(10) ** (-(digits - 15))))
     # reference EM run with eigenvalues k <= 9 (5 per parity)
-    sub = tuple(r.prefix(5) for r in recs)
-    dps9 = spectral_dps(3, digits)
-    for anchor, kind, n, quote in (
-            ("Z-(3) EM reference 0.025878", "minus", 3, "0.025878"),
+    refs = (("Z-(3) EM reference 0.025878", "minus", 3, "0.025878"),
             ("Z(3) EM reference 0.9646441", "full", 3, "0.9646441"),
-            ("Z(4) EM reference 0.9210896", "full", 4, "0.9210896")):
-        zv = zeta_em(3, kind, n, sub, dps=dps9)
-        out.append(_check(f"N3.em9.{kind}{n}", anchor, zv.value,
+            ("Z(4) EM reference 0.9210896", "full", 4, "0.9210896"))
+    em9 = zeta_values(3, tuple(r.prefix(5) for r in recs),
+                      [(kind, n) for _, kind, n, _ in refs],
+                      spectral_dps(3, digits))
+    for anchor, kind, n, quote in refs:
+        out.append(_check(f"N3.em9.{kind}{n}", anchor, em9[(kind, n)].value,
                           mp.mpf(quote), mp.mpf("1e-6")))
     # order-5 full identity value
     vals = _symbol_values(3, table, digits)

@@ -10,7 +10,7 @@ each tail is one batch of exponents at one shift on the Hurwitz kernel of
 `numerics`.  Beyond the exactly known leading coefficients, higher counting
 coefficients are calibrated per parity class against the computed
 eigenvalues themselves, with a held-out eigenvalue supplying the error
-estimate; the calibration does not depend on s, so `tail_models` runs it
+estimate; the calibration does not depend on s, so `zeta_values` runs it
 once per record for a whole table.
 
 Special degrees get exact tail models: N=2 (E_k = 2k+1 exactly) and N=1
@@ -42,6 +42,16 @@ from .precision import DEFAULT_DPS, rounded, working
 from .spectrum import SpectrumRecord
 
 KINDS = ("full", "twisted", "plus", "minus")
+
+# parity weights of each kind's sum over the two records, plus record first
+_WEIGHTS = {"full": {"+": 1, "-": 1}, "twisted": {"+": 1, "-": -1},
+            "plus": {"+": 1}, "minus": {"-": 1}}
+
+#: terms of the inverse-power expansion of E_k^(-s) in every tail model
+TAIL_DEPTH = 5
+
+#: counting coefficients beyond the known ones fitted per parity record
+N_FIT = 3
 
 
 # --------------------------------------------------------------------------
@@ -235,21 +245,19 @@ def _airy_tail_model(parity_even: bool, depth: int) -> _TailModel:
     return _TailModel(a, y, mpf(2) / 3)
 
 
-def _fit_tail_model(N, class_points, coeffs: BohrSommerfeldCoeffs,
-                    n_fit: int, depth: int):
-    """Calibrate counting coefficients beyond the known ones against the
-    last computed eigenvalues of one parity class.
+def _fit_tail_model(N, class_points, coeffs: BohrSommerfeldCoeffs):
+    """Calibrate N_FIT counting coefficients beyond the known ones against
+    the last computed eigenvalues of one parity class.
 
     class_points: [(full_index k, E_k)] sorted ascending.
     Returns (_TailModel, relative holdout error)."""
     mu = coeffs.mu
     b = [coeffs.b0]
+    n_fit = min(N_FIT, max(0, len(class_points) - 2))
     if N == 2:
-        b = [coeffs.b0]  # counting exactly linear
-        n_fit = 0
+        n_fit = 0  # counting exactly linear
     elif coeffs.b1 is not None:
         b.append(coeffs.b1)
-    n_fit = min(n_fit, max(0, len(class_points) - 2))
     if n_fit > 0:
         pts = class_points[-n_fit:]
         rows, rhs = [], []
@@ -263,7 +271,7 @@ def _fit_tail_model(N, class_points, coeffs: BohrSommerfeldCoeffs,
             rhs.append(resid)
         sol = mpmath.lu_solve(mpmath.matrix(rows), mpmath.matrix(rhs))
         b.extend(sol[i] for i in range(n_fit))
-    y = _invert_counting(b, mu, depth)
+    y = _invert_counting(b, mu, TAIL_DEPTH)
     model = _TailModel(2 * mpmath.pi, y, 1 / mu)
     # holdout: earliest class point not used in the fit
     hold = class_points[-(n_fit + 1)] if len(class_points) > n_fit else class_points[0]
@@ -326,11 +334,7 @@ def _class_points(rec: SpectrumRecord):
     return [(rec.full_index(j), e) for j, e in enumerate(rec.eigenvalues)]
 
 
-#: terms of the inverse-power expansion of E_k^(-s) in every tail model
-TAIL_DEPTH = 5
-
-
-def _class_model(N, rec: SpectrumRecord, coeffs, dps, n_fit):
+def _class_model(N, rec: SpectrumRecord, coeffs, dps):
     """(_TailModel, relative holdout error) for one parity record, at the
     ambient precision: the exact Airy expansion for N=1, else a fit."""
     if N == 1:
@@ -338,107 +342,108 @@ def _class_model(N, rec: SpectrumRecord, coeffs, dps, n_fit):
         k_chk, e_chk = _class_points(rec)[-1]
         return model, max(mpf(10) ** (-dps),
                           abs(model.energy(k_chk) / e_chk - 1))
-    return _fit_tail_model(N, _class_points(rec), coeffs, n_fit, TAIL_DEPTH)
+    return _fit_tail_model(N, _class_points(rec), coeffs)
 
 
-def tail_models(N: int, records, coeffs: BohrSommerfeldCoeffs,
-                dps: int = DEFAULT_DPS, n_fit: int = 3) -> dict:
-    """{parity: (_TailModel, relative holdout error)} for every record.  No
-    model depends on s, so a table of zeta values fits each record once and
-    hands the models to `zeta_em`."""
+def _check_request(kind, s, mu, recs):
+    """Reject a (kind, s) request that has no finite value from `recs`."""
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}")
+    if kind in ("full", "plus", "minus"):
+        if s == mu:
+            raise SummationPoleError(f"s = mu = {mu} is the pole")
+        if s < mu:
+            raise DivergentSeriesError(
+                f"kind {kind} requires s > mu = {mu}")
+    elif s <= 0:
+        raise DivergentSeriesError("twisted sum requires s > 0")
+    for p in _WEIGHTS[kind]:
+        if p not in recs:
+            raise InsufficientTermsError(f"missing parity {p} spectrum")
+
+
+def _em_value(N, kind, s, recs, powers, terms, fits, dps) -> ZetaValue:
+    """One kind at one order s, at the ambient precision, from the order's
+    {parity: [(k, E_k^(-s))]} powers and {parity: tail expansion} terms and
+    the records' {parity: (model, holdout error)} fits."""
+    # contiguous head length in the full index
+    if kind in ("full", "twisted"):
+        k_tail = 2 * min(len(recs["+"]), len(recs["-"]))
+    else:
+        p = "+" if kind == "plus" else "-"
+        k_tail = recs[p].full_index(len(recs[p]) - 1) + 1
+
+    head = mpf(0)
+    for q, w in _WEIGHTS[kind].items():
+        for k, t in powers[q]:
+            if k < k_tail:
+                head += w * t
+
+    if kind in ("full", "twisted"):
+        # split the class-dependent expansions into even/odd average g
+        # and half-difference h over the shared exponent basis; then
+        # full = sum g + alternating sum h, twisted = the reverse
+        te, to = terms["+"], terms["-"]
+        g = [((ce + co) / 2, e) for (ce, e), (co, _) in zip(te, to)]
+        h = [((ce - co) / 2, e) for (ce, e), (co, _) in zip(te, to)]
+        smooth, osc = (g, h) if kind == "full" else (h, g)
+        t1, a1 = _lattice_tail_sum(smooth, k_tail, alternating=False)
+        t2, a2 = _lattice_tail_sum(osc, k_tail, alternating=True)
+        tail = t1 + t2
+        rel = max(fits["+"][1], fits["-"][1])
+        err = abs(s) * rel * (a1 + a2) * 2
+    else:
+        tail, t_abs = _class_tail_sum(terms[p], k_tail, 0 if p == "+" else 1)
+        err = abs(s) * fits[p][1] * t_abs * 2
+
+    value = head + tail
+    err += abs(value) * mpf(10) ** (-(dps + 2))
+    if err >= abs(value):
+        raise TailBoundError("tail estimate exceeds the value itself")
+    cert = int(mpmath.floor(-mpmath.log10(err / abs(value))))
+    cert = max(1, min(cert, dps))
+    return ZetaValue(N, kind, rounded(s, dps), rounded(value, dps),
+                     "direct-EM", cert)
+
+
+def zeta_values(N: int, records, requests, dps: int = DEFAULT_DPS) -> dict:
+    """{(kind, s): ZetaValue} for every request (kind, s): the zeta value of
+    that kind at s > 0 from computed spectra plus the semiclassical tail.
+    `records` is a SpectrumRecord or a pair of them; kinds 'full' and
+    'twisted' need both parities, 'plus'/'minus' need one.
+
+    Every request is checked before any work.  Each needed record is fitted
+    once, and at each order its E_k^(-s) and tail expansion are computed
+    once and shared by every kind requested there."""
+    recs = _normalize_records(records)
+    coeffs = BohrSommerfeldCoeffs.compute(N, dps)
     with working(dps, 10):
-        return {p: _class_model(N, rec, coeffs, dps, n_fit)
-                for p, rec in _normalize_records(records).items()}
+        mu = mpf(coeffs.mu)
+        orders = {}                    # s -> kinds requested at s
+        for kind, s in requests:
+            _check_request(kind, mpf(s), mu, recs)
+            orders.setdefault(s, []).append(kind)
+        fits, out = {}, {}
+        for s_key, kinds in orders.items():
+            s = mpf(s_key)
+            need = {p for kind in kinds for p in _WEIGHTS[kind]}
+            for p in need:
+                if p not in fits:
+                    fits[p] = _class_model(N, recs[p], coeffs, dps)
+            powers = {p: [(k, e ** (-s)) for k, e in _class_points(recs[p])]
+                      for p in need}
+            terms = {p: fits[p][0].inverse_power_terms(s) for p in need}
+            for kind in kinds:
+                out[(kind, s_key)] = _em_value(N, kind, s, recs, powers,
+                                               terms, fits, dps)
+    return out
 
 
 def zeta_em(N: int, kind: str, s, records,
-            coeffs: BohrSommerfeldCoeffs = None,
-            dps: int = DEFAULT_DPS, n_fit: int = 3,
-            models: dict = None) -> ZetaValue:
+            dps: int = DEFAULT_DPS) -> ZetaValue:
     """Zeta value of the requested kind at s > 0 from computed spectra plus
-    the semiclassical tail.  `records` is a SpectrumRecord or a pair of them;
-    kinds 'full' and 'twisted' need both parities, 'plus'/'minus' need one.
-    `models` may supply the records' `tail_models` (same dps and n_fit);
-    otherwise each needed record is fitted here."""
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}")
-    recs = _normalize_records(records)
-    if coeffs is None:
-        coeffs = BohrSommerfeldCoeffs.compute(N, dps)
-    with working(dps, 10):
-        s = mpf(s)
-        mu = mpf(coeffs.mu)
-        if kind in ("full", "plus", "minus"):
-            if s == mu:
-                raise SummationPoleError(f"s = mu = {mu} is the pole")
-            if s < mu:
-                raise DivergentSeriesError(
-                    f"kind {kind} requires s > mu = {mu}")
-        elif s <= 0:
-            raise DivergentSeriesError("twisted sum requires s > 0")
-
-        need = ("+", "-") if kind in ("full", "twisted") else \
-            (("+",) if kind == "plus" else ("-",))
-        for p in need:
-            if p not in recs:
-                raise InsufficientTermsError(f"missing parity {p} spectrum")
-
-        weights = {"full": {0: 1, 1: 1}, "twisted": {0: 1, 1: -1},
-                   "plus": {0: 1}, "minus": {1: 1}}[kind]
-
-        # contiguous head length in the full index
-        if kind in ("full", "twisted"):
-            L = min(len(recs["+"]), len(recs["-"]))
-            k_tail = 2 * L
-        else:
-            rec = recs[need[0]]
-            k_tail = rec.full_index(len(rec) - 1) + 1
-
-        head = mpf(0)
-        for p in need:
-            rec = recs[p]
-            cls = 0 if p == "+" else 1
-            w = weights[cls]
-            for k, e in _class_points(rec):
-                if k < k_tail:
-                    head += w * e ** (-s)
-
-        fits = models or {p: _class_model(N, recs[p], coeffs, dps, n_fit)
-                          for p in need}
-        terms, rels = {}, {}
-        for p in need:
-            cls = 0 if p == "+" else 1
-            model, rels[cls] = fits[p]
-            terms[cls] = model.inverse_power_terms(s)
-
-        tail = mpf(0)
-        err = mpf(0)
-        if kind in ("full", "twisted"):
-            # split the class-dependent expansions into even/odd average g
-            # and half-difference h over the shared exponent basis; then
-            # full = sum g + alternating sum h, twisted = the reverse
-            te, to = terms[0], terms[1]
-            g = [((ce + co) / 2, e) for (ce, e), (co, _) in zip(te, to)]
-            h = [((ce - co) / 2, e) for (ce, e), (co, _) in zip(te, to)]
-            smooth, osc = (g, h) if kind == "full" else (h, g)
-            t1, a1 = _lattice_tail_sum(smooth, k_tail, alternating=False)
-            t2, a2 = _lattice_tail_sum(osc, k_tail, alternating=True)
-            tail = t1 + t2
-            rel = max(rels[0], rels[1])
-            err = abs(s) * rel * (a1 + a2) * 2
-        else:
-            cls = 0 if kind == "plus" else 1
-            tail, t_abs = _class_tail_sum(terms[cls], k_tail, cls)
-            err = abs(s) * rels[cls] * t_abs * 2
-
-        value = head + tail
-        err += abs(value) * mpf(10) ** (-(dps + 2))
-        if err >= abs(value):
-            raise TailBoundError("tail estimate exceeds the value itself")
-        cert = int(mpmath.floor(-mpmath.log10(err / abs(value))))
-        cert = max(1, min(cert, dps))
-    return ZetaValue(N, kind, rounded(s, dps), rounded(value, dps),
-                     "direct-EM", cert)
+    the semiclassical tail: one request to `zeta_values`."""
+    return zeta_values(N, records, [(kind, s)], dps)[(kind, s)]
 
 
 # --------------------------------------------------------------------------

@@ -392,3 +392,18 @@ class TestHyper4F3:
         v_lo = hyper_4f3(upper, lower, 20)
         v_hi = hyper_4f3(upper, lower, 40)
         assert close(v_lo, v_hi, "1e-18")
+
+    def test_polygamma_orders_only_as_used(self, monkeypatch):
+        # the tail loop stops at j = 13 at 50 digits, using derivatives up to
+        # order 25: 25 polygamma orders of 8 psi calls, not 2 * jmax = 74
+        psi = mp.psi
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return psi(*args, **kwargs)
+
+        monkeypatch.setattr(mp, "psi", counted)
+        hyper_4f3([Fraction(4, 10), Fraction(5, 10), Fraction(6, 10), 1],
+                  [Fraction(12, 10), Fraction(13, 10), Fraction(14, 10)], 50)
+        assert 0 < len(calls) <= 208

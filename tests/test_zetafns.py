@@ -91,7 +91,8 @@ class TestZetaEM:
 
 
 class TestZetaTable:
-    def test_fits_each_record_once(self, spectra3, monkeypatch):
+    def test_fits_each_record_once(self, spectra1, spectra2, spectra3,
+                                   monkeypatch):
         calls = []
         fit = zetafns._fit_tail_model
 
@@ -100,12 +101,67 @@ class TestZetaTable:
             return fit(*args, **kwargs)
 
         monkeypatch.setattr(zetafns, "_fit_tail_model", counted)
-        table = em_zeta_table(3, spectra3, 8, 20)
-        assert len(calls) == len(spectra3)
-        # the shared fits give what a fit per value gives, bit for bit
-        for key in (("full", 2), ("twisted", 1), ("plus", 5), ("minus", 8)):
-            alone = zeta_em(3, key[0], key[1], spectra3, dps=20)
-            assert table[key] == alone
+        for N, spectra, dps in ((1, spectra1, 30), (2, spectra2, 30),
+                                (3, spectra3, 20)):
+            calls.clear()
+            table = em_zeta_table(N, spectra, 8, dps)
+            # N=1 has the exact Airy tail model and fits nothing
+            assert len(calls) == (0 if N == 1 else len(spectra))
+            # the shared fits and powers give what one request alone
+            # gives, bit for bit
+            for (kind, n), zv in table.items():
+                alone = zeta_em(N, kind, n, spectra, dps=dps)
+                assert zv == alone
+                assert zv.value._mpf_ == alone.value._mpf_
+
+    def test_tail_expansion_once_per_record_and_order(self, spectra3,
+                                                      monkeypatch):
+        calls = []
+        terms = zetafns._TailModel.inverse_power_terms
+
+        def counted(self, s):
+            calls.append((id(self), s))
+            return terms(self, s)
+
+        monkeypatch.setattr(zetafns._TailModel, "inverse_power_terms",
+                            counted)
+        # four kinds at each of orders 1..8 share two records' expansions
+        assert len(em_zeta_table(3, spectra3, 8, 20)) == 32
+        assert len(calls) == len(set(calls)) == 2 * 8
+
+    def test_requests_checked_before_any_fit(self, spectra3, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before every request was checked")
+
+        monkeypatch.setattr(zetafns, "_fit_tail_model", no_fit)
+        with pytest.raises(ValueError):
+            zetafns.zeta_values(3, spectra3, [("full", 2), ("bogus", 2)], 20)
+        with pytest.raises(DivergentSeriesError):
+            zetafns.zeta_values(3, spectra3, [("full", 2),
+                                              ("full", mp.mpf("0.5"))], 20)
+        with pytest.raises(InsufficientTermsError):
+            zetafns.zeta_values(3, spectra3[0], [("plus", 2),
+                                                 ("minus", 2)], 20)
+
+    def test_cubic_battery_work(self, spectra3, monkeypatch):
+        fits, hypers = [], []
+        fit, hyper = zetafns._fit_tail_model, cf.hyper_4f3
+
+        def counted_fit(*args, **kwargs):
+            fits.append(args[0])
+            return fit(*args, **kwargs)
+
+        def counted_hyper(*args, **kwargs):
+            hypers.append(args)
+            return hyper(*args, **kwargs)
+
+        monkeypatch.setattr(zetafns, "_fit_tail_model", counted_fit)
+        monkeypatch.setattr(cf, "hyper_4f3", counted_hyper)
+        run_battery((3,), 20, 12, spectra={3: spectra3})
+        # one fit per record for the table and one per record for the
+        # five-level reference run; each 4F3 closed form once
+        assert len(fits) == 4
+        assert len(hypers) == 2
 
     def test_no_hurwitz_call_to_mpmath_zeta(self, spectra1, spectra3,
                                              monkeypatch):
