@@ -50,9 +50,18 @@ class RunConfig:
             raise ValueError("format must be text, json or csv")
 
 
+#: each setting as (RunConfig field, config key and command-line flag, parse)
+SETTINGS = (("digits", "digits", int), ("count", "count", int),
+            ("n_list", "N", lambda v: tuple(int(x) for x in v.split(","))),
+            ("parity", "parity", str), ("n_max", "nmax", int),
+            ("fmt", "format", str), ("out", "out", str))
+
+
 def load_config_file(path: str) -> dict:
-    """Parse a simple `key = value` config file (comments with '#')."""
+    """Parse a simple `key = value` config file (comments with '#'); a key
+    that names no setting raises ValueError."""
     out = {}
+    keys = {key for _, key, _ in SETTINGS}
     with open(path, encoding="utf-8") as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
@@ -61,41 +70,23 @@ def load_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"bad config line: {raw.rstrip()}")
             key, val = (p.strip() for p in line.split("=", 1))
+            if key not in keys:
+                raise ValueError(f"unknown config key {key!r} (known: "
+                                 f"{', '.join(sorted(keys))})")
             out[key] = val
     return out
 
 
 def _config_from_args(args) -> RunConfig:
+    """A command-line flag wins over the config file's value."""
     cfg = RunConfig()
     filecfg = load_config_file(args.config) if args.config else {}
-    def pick(flag, key, cast):
-        if flag is not None:
-            return cast(flag)
-        if key in filecfg:
-            return cast(filecfg[key])
-        return None
-
-    v = pick(args.digits, "digits", int)
-    if v is not None:
-        cfg.digits = v
-    v = pick(args.count, "count", int)
-    if v is not None:
-        cfg.count = v
-    v = pick(args.N, "N", str)
-    if v is not None:
-        cfg.n_list = tuple(int(x) for x in str(v).split(","))
-    v = pick(args.parity, "parity", str)
-    if v is not None:
-        cfg.parity = v
-    v = pick(args.nmax, "nmax", int)
-    if v is not None:
-        cfg.n_max = v
-    v = pick(args.format, "format", str)
-    if v is not None:
-        cfg.fmt = v
-    v = pick(args.out, "out", str)
-    if v is not None:
-        cfg.out = v
+    for field, key, parse in SETTINGS:
+        v = getattr(args, key)
+        if v is None:
+            v = filecfg.get(key)
+        if v is not None:
+            setattr(cfg, field, parse(v))
     cfg.validate()
     return cfg
 

@@ -10,9 +10,10 @@ Two integer fixed-point kernels live here.  The Taylor kernel,
 does the march of Ai(-t) that finds the Airy zeros (the N=1 spectra).  The
 Hurwitz kernel, `hurwitz_many`: every Hurwitz zeta of the package (the
 semiclassical tails of `zetafns`, the alternating sums, the N=2 closed
-forms) is a batch of exponents at one shift on it, each value to a relative
-error of one ulp.  Ai and Ai' themselves (`airy_eval`) come from the same
-march as the zeros, run to t = -x.
+forms, and the 4F3 tail: one batch in inverse powers of the index,
+certified by a second cut) is a batch of exponents at one shift on it, each
+value to a relative error of one ulp.  Ai and Ai' (`airy_eval`) come from
+the zeros' march, run to t = -x.
 """
 
 from __future__ import annotations
@@ -602,113 +603,72 @@ def airy_negative_zeros(count: int, derivative: int = 0,
         return [mpf((x, -P)) for x in zeros]
 
 
-def airy_negative_zero(k: int, derivative: int = 0, dps: int = DEFAULT_DPS):
-    """Magnitude of the k-th (1-based) negative zero of Ai (or Ai')."""
-    return airy_negative_zeros(k, derivative, dps)[-1]
-
-
 # --------------------------------------------------------------------------
 # Generalized hypergeometric 4F3 at z = 1
 # --------------------------------------------------------------------------
 
-def _as_mpf(q):
-    if isinstance(q, Fraction):
-        return mpf(q.numerator) / q.denominator
-    return mpf(q)
-
-
 def hyper_4f3(upper, lower, dps: int = DEFAULT_DPS):
-    """4F3(upper; lower; 1) by direct summation plus an Euler-Maclaurin tail.
+    """4F3(upper; lower; 1) for rational (int or Fraction) parameters: the
+    head sum_{k<K} t_k plus the tail in inverse powers of k on the Hurwitz
+    kernel.
 
-    Convergence requires sum(lower) - sum(upper) > 0; the term at index k
-    decays only like k^-(1+sigma), so the tail is summed by Euler-Maclaurin
-    using exact polygamma derivatives of the term function.
+    Convergence needs sigma = sum(lower) - sum(upper) > 0.  By Stirling's
+    series, t_k = prod (a)_k / prod (b)_k / k! = C k^-(1+sigma)
+    exp(sum_m e_m k^-m), C = prod Gamma(b) / prod Gamma(a), with exact
+    e_m = (-1)^(m+1)/(m(m+1)) [sum B_{m+1}(a) - sum B_{m+1}(b) - B_{m+1}(1)].
+    With exp(sum_m e_m x^m) = sum_j d_j x^j, the tail is
+    C sum_{j<J} d_j zeta(1+sigma+j, K), one `hurwitz_many` batch; d_J and
+    d_{J+1} are the first two with |d_j| K^-j below the working precision.
+    Certificate: the sum cut at 2K (same J) must agree to 10^-(dps+10)
+    relative, else TailBoundError.  A zero or negative integer upper
+    parameter terminates the series, which is then summed directly.
     """
     if len(upper) != 4 or len(lower) != 3:
         raise ValueError("hyper_4f3 expects 4 upper and 3 lower parameters")
-    with working(dps, 15):
-        up = [_as_mpf(a) for a in upper]
-        lo = [_as_mpf(b) for b in lower]
-        sigma = sum(lo) - sum(up)
-        if sigma <= 0:
-            raise DivergentSeriesError(
-                f"series at z=1 divergent: sum(lower)-sum(upper) = {sigma}")
-        for b in lo:
-            if b <= 0 and mpmath.isint(b):
-                raise DivergentSeriesError(f"nonpositive integer lower parameter {b}")
-        # terminating series: a zero (or negative integer) upper parameter
-        tol = mpf(10) ** (-(dps + 10))
+    up, lo = [Fraction(a) for a in upper], [Fraction(b) for b in lower]
+    sigma = sum(lo) - sum(up)
+    if sigma <= 0:
+        raise DivergentSeriesError(
+            f"series at z=1 divergent: sum(lower)-sum(upper) = {sigma}")
+    for b in lo:
+        if b <= 0 and b.denominator == 1:
+            raise DivergentSeriesError(f"nonpositive integer lower parameter {b}")
+    # an upper parameter a = 0, -1, ... ends the series after 1 - a terms
+    ends = [1 - int(a) for a in up if a <= 0 and a.denominator == 1]
+    # |d_j| K^-j shrinks about like (max |parameter| / K)^j <= 2^-j
+    K = max(30, 2 * dps, 2 * math.ceil(max(map(abs, up + lo))))
+    with working(dps, 15) as ctx:
+        def real(q):
+            return mpf(q.numerator) / q.denominator
 
-        K = max(100, 6 * dps)
-        # direct part
-        acc = mpf(0)
-        term = mpf(1)
-        k = 0
-        while k < K:
-            acc += term
-            ratio = mpf(1)
-            for a in up:
-                ratio *= (a + k)
-            if ratio == 0:
-                return rounded(acc, dps)  # terminated
-            for b in lo:
-                ratio /= (b + k)
-            ratio /= (k + 1)
-            term *= ratio
-            k += 1
-
-        # tail by Euler-Maclaurin on t(k) = prod G(k+a)/ prod G(k+b) / G(k+1)
-        def log_deriv(m, x):
-            d = mpf(0)
-            for a in up:
-                d += mpmath.psi(m, x + a)
-            for b in lo:
-                d -= mpmath.psi(m, x + b)
-            d -= mpmath.psi(m, x + 1)
-            return d
-
-        def t_func(x):
-            r = mpf(0)
-            for a in up:
-                r += mpmath.loggamma(x + a)
-            for b in lo:
-                r -= mpmath.loggamma(x + b)
-            r -= mpmath.loggamma(x + 1)
-            return mpmath.exp(r)
-
-        # normalisation so that t(k)=term at k=K
-        c0 = term / t_func(mpf(K))
-        f = lambda x: c0 * t_func(x)
-        integral = mpmath.quad(f, [mpf(K), mpmath.inf])
-        tail = integral + f(mpf(K)) / 2
-        # derivatives of f via the logarithmic derivative (exact polygammas),
-        # each order computed when the correction loop below first needs it
-        jmax = dps // 2 + 12
-        L = []
-        derivs = [f(mpf(K))]
-        prev = mpmath.inf
-        ok = False
-        for j in range(1, jmax):
-            while len(derivs) < 2 * j:
-                m = len(derivs)
-                L.append(log_deriv(m - 1, mpf(K)))
-                d = mpf(0)
-                for i in range(m):
-                    d += mpmath.binomial(m - 1, i) * derivs[i] * L[m - 1 - i]
-                derivs.append(d)
-            b2j = mpf(bernoulli_number(2 * j).numerator) / bernoulli_number(2 * j).denominator
-            corr = -b2j / mpmath.factorial(2 * j) * derivs[2 * j - 1]
-            if abs(corr) > prev:
-                if prev > tol * max(abs(acc), mpf(1)):
-                    raise TailBoundError("Euler-Maclaurin tail failed to certify tolerance")
-                ok = True
-                break
-            tail += corr
-            prev = abs(corr)
-            if prev < tol * max(abs(acc), mpf(1)):
-                ok = True
-                break
-        if not ok:
-            raise TailBoundError("Euler-Maclaurin tail failed to certify tolerance")
-        val = acc + tail
+        head, term = [mpf(0)], mpf(1)       # head[k] = sum_{i<k} t_i
+        for k in range(min(ends, default=2 * K)):
+            head.append(head[-1] + term)
+            term *= real(math.prod(a + k for a in up)
+                         / math.prod(b + k for b in lo) / (k + 1))
+        if ends:
+            return rounded(head[-1], dps)
+        C = (mpmath.fprod(mpmath.gamma(real(b)) for b in lo)
+             / mpmath.fprod(mpmath.gamma(real(a)) for a in up))
+        eps = mpf(2) ** -ctx.prec
+        # e_m from the power sums p_r = sum a^r - sum b^r - 1, exactly:
+        # sum B_n(a) - sum B_n(b) - B_n(1) = sum_{k<n} C(n,k) B_k p_{n-k}
+        p, e, d = [], [], [mpf(1)]
+        while (len(d) < 3 or max(abs(d[-2]) * K, abs(d[-1]))
+               >= eps * mpf(K) ** (len(d) - 1)):
+            m, n = len(d), len(d) + 1
+            if m > 4 * (dps + 25):
+                raise TailBoundError("4F3 tail expansion does not converge")
+            p += [sum(a ** r for a in up) - sum(b ** r for b in lo) - 1
+                  for r in range(len(p), n + 1)]
+            e.append(real((-1) ** n * Fraction(1, m * n) * sum(
+                math.comb(n, k) * bernoulli_number(k) * p[n - k]
+                for k in range(n))))
+            d.append(mpmath.fsum(i * e[i - 1] * d[m - i]
+                                 for i in range(1, n)) / m)
+        exps = [real(1 + sigma + j) for j in range(len(d) - 2)]
+        val, check = (head[c] + C * mpmath.fsum(
+            map(mpmath.fmul, d, hurwitz_many(exps, c))) for c in (K, 2 * K))
+        if abs(val - check) > mpf(10) ** -(dps + 10) * abs(val):
+            raise TailBoundError(f"4F3 tails cut at {K} and {2 * K} disagree")
     return rounded(val, dps)

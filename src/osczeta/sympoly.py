@@ -65,8 +65,9 @@ class ZSymbol:
         return self._key
 
     def __eq__(self, other):
-        return (isinstance(other, ZSymbol)
-                and self.kind is other.kind and self.order == other.order)
+        if not isinstance(other, ZSymbol):
+            return NotImplemented       # SymPoly compares to its symbols
+        return self.kind is other.kind and self.order == other.order
 
     def __hash__(self):
         return self._hash
@@ -79,13 +80,23 @@ class ZSymbol:
 # pairs sorted by symbol sort key.  The empty tuple is the constant monomial.
 
 def _mono_mul(a: tuple, b: tuple) -> tuple:
-    d = {}
-    for sym, e in a:
-        d[sym] = d.get(sym, 0) + e
-    for sym, e in b:
-        d[sym] = d.get(sym, 0) + e
-    return tuple(sorted(((s, e) for s, e in d.items() if e),
-                        key=lambda p: p[0]._key))
+    """Product of two monomials: one merge of the sorted factor lists."""
+    if not a or not b:
+        return a or b
+    out, i, j = [], 0, 0
+    while i < len(a) and j < len(b):
+        ka, kb = a[i][0]._key, b[j][0]._key
+        if ka < kb:
+            out.append(a[i])
+            i += 1
+        elif kb < ka:
+            out.append(b[j])
+            j += 1
+        else:
+            out.append((a[i][0], a[i][1] + b[j][1]))
+            i += 1
+            j += 1
+    return tuple(out) + a[i:] + b[j:]
 
 
 def _mono_weight(mono: tuple) -> int:
@@ -225,7 +236,16 @@ class SymPoly:
         return (self - other).is_zero()
 
     def __hash__(self):
-        return hash(frozenset((m, c) for m, c in self.terms.items()))
+        # as __eq__ coerces: a constant hashes as its coefficient, a bare
+        # unit symbol as its ZSymbol
+        terms = self.terms
+        if not terms.keys() - {()}:
+            return hash(terms.get((), 0))
+        if len(terms) == 1:
+            (mono, c), = terms.items()
+            if len(mono) == 1 and mono[0][1] == 1 and c == 1:
+                return hash(mono[0][0])
+        return hash(frozenset(terms.items()))
 
     # -- substitution / evaluation -------------------------------------------
 

@@ -228,6 +228,14 @@ class TestConfigHandling:
         cfgfile.write_text("this is not a key-value pair\n")
         assert run(["spectrum", "--config", str(cfgfile)]) == 2
 
+    def test_unknown_config_key(self, tmp_path, capsys):
+        # a misspelled key must not run at the default digits
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("N = 2\ndigitz = 12\n")
+        assert run(["spectrum", "--N", "3", "--config", str(cfgfile)]) == 2
+        captured = capsys.readouterr()
+        assert "'digitz'" in captured.err and captured.out == ""
+
     def test_missing_config_file(self, capsys):
         assert run(["spectrum", "--config", "/nonexistent/path.cfg"]) == 2
 

@@ -153,6 +153,25 @@ def test_equal_elements_hash_equal(pair, other):
     assert poly(x) == poly(lifted) and hash(poly(x)) == hash(poly(lifted))
 
 
+@given(lifted_pairs(), st.fractions(max_denominator=12),
+       st.sampled_from(list(ZKind)), st.integers(min_value=0, max_value=6))
+@settings(max_examples=60, deadline=None)
+def test_polys_equal_to_their_coerced_operands_hash_equal(pair, q, kind, n):
+    # SymPoly's __eq__ coerces numbers and symbols, so its hash must agree
+    x, lifted = pair
+    s = ZSymbol(kind, n)
+    cases = [(SymPoly.constant(x), x), (SymPoly.constant(x), lifted),
+             (SymPoly.constant(q), q), (SymPoly.constant(rational(q)), q),
+             (SymPoly.constant(q), rational(q)),
+             (SymPoly.constant(q.numerator), q.numerator),
+             (SymPoly.zero(), 0), (SymPoly.symbol(s), s)]
+    for poly, other in cases:
+        assert poly == other and other == poly
+        assert hash(poly) == hash(other)
+        assert len({poly, other}) == len({other, poly}) == 1
+    assert SymPoly.symbol(s, 2) != s and SymPoly.symbol(s) + 1 != s
+
+
 def test_hash_across_conductors_and_rationals():
     assert CycloNumber.zeta(4, 1) == CycloNumber.zeta(8, 2)
     assert hash(CycloNumber.zeta(4, 1)) == hash(CycloNumber.zeta(8, 2))

@@ -20,7 +20,6 @@ from osczeta.errors import (
 from osczeta.numerics import (
     IntegerSequenceKind,
     airy_eval,
-    airy_negative_zero,
     airy_negative_zeros,
     airy_taylor_coefficient,
     alternating_hurwitz,
@@ -33,6 +32,19 @@ from osczeta.numerics import (
     integer_sequence,
 )
 
+
+# the two 4F3 parameter sets of the N=3 closed forms (closedforms.py), and
+# their exact binary values at 20, 30 and 50 digits, recorded with the
+# quadrature and polygamma Euler-Maclaurin tail that the Hurwitz tail replaced
+CATALOG_4F3 = {
+    "cubic_full2": ([Fraction(4, 10), Fraction(5, 10), Fraction(6, 10), 1],
+                    [Fraction(12, 10), Fraction(13, 10), Fraction(14, 10)]),
+    "cubic_minus2": ([Fraction(6, 10), Fraction(7, 10), Fraction(8, 10), 1],
+                     [Fraction(14, 10), Fraction(15, 10), Fraction(16, 10)]),
+}
+with open(os.path.join(os.path.dirname(__file__), "data",
+                       "hyper_4f3_snapshot.json"), encoding="utf-8") as _fh:
+    HYPER_4F3_SNAPSHOT = json.load(_fh)
 
 # exact binary values (sign, mantissa, exponent, bitcount) of the first 60
 # negative zeros of Ai ("0@dps") and Ai' ("1@dps"), as returned by the
@@ -272,7 +284,7 @@ class TestAiry:
     def test_negative_zero(self, k, deriv):
         with mp.workdps(40):
             ref = -mp.airyaizero(k, derivative=deriv)
-            assert close(airy_negative_zero(k, deriv, 30), ref, "1e-27")
+            assert close(airy_negative_zeros(k, deriv, 30)[-1], ref, "1e-27")
 
     def test_tail_model_approaches_zero_40(self):
         # at large index the N=1 tail model's asymptotic expansion alone is
@@ -311,8 +323,6 @@ class TestAiryZeroMarch:
     def test_prefix(self, deriv):
         assert airy_negative_zeros(30, deriv, 30)[:5] == \
             airy_negative_zeros(5, deriv, 30)
-        assert airy_negative_zero(5, deriv, 30) == \
-            airy_negative_zeros(5, deriv, 30)[-1]
 
     @pytest.mark.parametrize("key", sorted(AIRY_ZERO_SNAPSHOT))
     def test_bit_identical_to_snapshot(self, key):
@@ -373,8 +383,6 @@ class TestAiryZeroMarch:
             airy_negative_zeros(0, 0, 30)
         with pytest.raises(ValueError):
             airy_negative_zeros(3, 2, 30)
-        with pytest.raises(ValueError):
-            airy_negative_zero(0, 0, 30)
 
 
 class TestHyper4F3:
@@ -393,17 +401,53 @@ class TestHyper4F3:
         v_hi = hyper_4f3(upper, lower, 40)
         assert close(v_lo, v_hi, "1e-18")
 
-    def test_polygamma_orders_only_as_used(self, monkeypatch):
-        # the tail loop stops at j = 13 at 50 digits, using derivatives up to
-        # order 25: 25 polygamma orders of 8 psi calls, not 2 * jmax = 74
-        psi = mp.psi
-        calls = []
+    @pytest.mark.parametrize("key", sorted(HYPER_4F3_SNAPSHOT))
+    def test_bit_identical_to_snapshot(self, key):
+        name, dps = key.split("@")
+        upper, lower = CATALOG_4F3[name]
+        assert list(hyper_4f3(upper, lower, int(dps))._mpf_) == \
+            HYPER_4F3_SNAPSHOT[key]
 
-        def counted(*args, **kwargs):
-            calls.append(args[0])
-            return psi(*args, **kwargs)
+    def test_no_quadrature_or_polygamma(self, monkeypatch):
+        # the tail is one Hurwitz batch in inverse powers of k
+        def refuse(*args, **kwargs):
+            raise AssertionError("hyper_4f3 must not call this")
 
-        monkeypatch.setattr(mp, "psi", counted)
-        hyper_4f3([Fraction(4, 10), Fraction(5, 10), Fraction(6, 10), 1],
-                  [Fraction(12, 10), Fraction(13, 10), Fraction(14, 10)], 50)
-        assert 0 < len(calls) <= 208
+        for name in ("quad", "psi", "loggamma"):
+            monkeypatch.setattr(mp, name, refuse)
+        upper, lower = CATALOG_4F3["cubic_full2"]
+        assert list(hyper_4f3(upper, lower, 50)._mpf_) == \
+            HYPER_4F3_SNAPSHOT["cubic_full2@50"]
+
+    def test_short_tail_fails_the_second_cut(self, monkeypatch):
+        # a tail summed with only three inverse powers (J = 3) misses by
+        # about K^-3, which the cut at 2K sees
+        batch = numerics.hurwitz_many
+        monkeypatch.setattr(numerics, "hurwitz_many",
+                            lambda exps, a: batch(exps[:3], a))
+        upper, lower = CATALOG_4F3["cubic_minus2"]
+        with pytest.raises(TailBoundError, match="disagree"):
+            hyper_4f3(upper, lower, 30)
+
+    def test_integer_parameters_sum_to_zeta3(self):
+        # t_k = 1/(k+1)^3
+        with mp.workdps(40):
+            assert close(hyper_4f3([1, 1, 1, 1], [2, 2, 2], 30), mp.zeta(3),
+                         "1e-29")
+
+    def test_terminating_series_is_a_finite_sum(self):
+        upper = [-3, Fraction(1, 2), Fraction(1, 3), 1]
+        lower = [Fraction(5, 2), Fraction(7, 3), 2]
+        with mp.workdps(40):
+            ref = mp.hyper([-3, mp.mpf(1) / 2, mp.mpf(1) / 3, 1],
+                           [mp.mpf(5) / 2, mp.mpf(7) / 3, 2], 1)
+            assert close(hyper_4f3(upper, lower, 30), ref, "1e-29")
+        assert hyper_4f3([0, 1, 1, 1], [2, 2, 2], 20) == 1
+
+    def test_invalid_parameters(self):
+        with pytest.raises(ValueError):
+            hyper_4f3([1, 1, 1], [2, 2, 2], 20)
+        with pytest.raises(DivergentSeriesError):
+            hyper_4f3([1, 1, 1, 1], [1, 1, 1], 20)
+        with pytest.raises(DivergentSeriesError):
+            hyper_4f3([1, 1, 1, 1], [-2, 5, 5], 20)
