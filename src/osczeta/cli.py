@@ -227,18 +227,28 @@ def cmd_table(cfg: RunConfig) -> int:
     return 0
 
 
+#: each command as name: (help text, function, the formats it writes)
+COMMANDS = {
+    "spectrum": ("compute eigenvalues per (N, parity)", cmd_spectrum,
+                 ("text", "json", "csv")),
+    "zeta": ("compute zeta values from spectra", cmd_zeta,
+             ("text", "json", "csv")),
+    "derive": ("derive the exact sum rules symbolically", cmd_derive,
+               ("text", "json")),
+    "verify": ("run the cross-verification battery", cmd_verify,
+               ("text", "json")),
+    "table": ("render the classification table per (N, n)", cmd_table,
+              ("text",)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="osczeta",
         description="spectral zeta functions and exact sum rules for "
                     "homogeneous oscillators -d2/dq2 + |q|^N")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-            ("spectrum", "compute eigenvalues per (N, parity)"),
-            ("zeta", "compute zeta values from spectra"),
-            ("derive", "derive the exact sum rules symbolically"),
-            ("verify", "run the cross-verification battery"),
-            ("table", "render the classification table per (N, n)")):
+    for name, (helptext, _, _) in COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--N", help="degree or comma list, e.g. 3 or 1,2,3,6")
         p.add_argument("--parity", choices=["+", "-", "both"])
@@ -251,19 +261,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-COMMANDS = {"spectrum": cmd_spectrum, "zeta": cmd_zeta, "derive": cmd_derive,
-            "verify": cmd_verify, "table": cmd_table}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _, command, formats = COMMANDS[args.command]
     try:
         cfg = _config_from_args(args)
+        if cfg.fmt not in formats:
+            raise ValueError(f"{args.command} cannot write format "
+                             f"{cfg.fmt!r} (it writes {', '.join(formats)})")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        return COMMANDS[args.command](cfg)
+        return command(cfg)
     except (OsczetaError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -159,7 +159,7 @@ def _em_tolerance(table, orders):
 # per-N check builders
 # ---------------------------------------------------------------------------
 
-def _common_checks(N, recs, table, digits):
+def _common_checks(N, recs, table, idents, digits):
     out = []
     cf = cforms.closed_form_eval
 
@@ -214,7 +214,7 @@ def _common_checks(N, recs, table, digits):
     # derived sum rules, orders 1..6, against the same numeric values
     vals = _symbol_values(N, table, digits)
     tol = _em_tolerance(table, list(table))
-    for ident in derive_sum_rules(N, 6)[1:]:
+    for ident in idents[1:]:
         if ident.degenerate:
             continue
         res = abs(ident.lhs.eval_numeric(vals, digits)
@@ -337,8 +337,8 @@ def _harmonic_checks(digits):
     for kind in ("full", "twisted"):
         worst = mp.mpf(0)
         for lam in ("-0.6", "-0.3", "0.25", "0.45", "0.6"):
-            d1 = determinant_series(2, kind, mp.mpf(lam), vals[kind],
-                                    primes[kind], digits)
+            d1 = determinant_series(mp.mpf(lam), vals[kind], primes[kind],
+                                    digits)
             d2 = cforms.harmonic_determinant(kind, mp.mpf(lam), digits)
             worst = max(worst, abs(d1 - d2))
         out.append(_residual_check(
@@ -351,7 +351,7 @@ def _harmonic_checks(digits):
     return out
 
 
-def _cubic_checks(recs, table, digits):
+def _cubic_checks(recs, table, idents, digits):
     out = []
     cf = cforms.closed_form_eval
     out.append(_check("N3.zp1.paper", "ZP(1) reference 0.7836009674833",
@@ -383,7 +383,7 @@ def _cubic_checks(recs, table, digits):
                           mp.mpf(quote), mp.mpf("1e-6")))
     # order-5 full identity value
     vals = _symbol_values(3, table, digits)
-    sym, rhs = solved_form(derive_sum_rules(3, 5)[5])
+    sym, rhs = solved_form(idents[5])
     out.append(_check("N3.z35.value",
                       "order-5 identity rhs reference 0.8949120",
                       rhs.eval_numeric(vals, digits), mp.mpf("0.8949120"),
@@ -443,14 +443,15 @@ def run_battery(n_list=(1, 2, 3, 6), digits: int = DEFAULT_DPS,
                 recs = compute_spectra(N, eigencount, digits)
             # N >= 3 feeds the determinant series, which needs deep zeta tables
             table = em_zeta_table(N, recs, 26 if N >= 3 else 6, dps)
-            records.extend(_common_checks(N, recs, table, digits))
+            idents = derive_sum_rules(N, 6)   # shared by the builders
+            records.extend(_common_checks(N, recs, table, idents, digits))
             records.extend(_funceq_checks(N, table, digits))
             if N == 1:
                 records.extend(_airy_checks(airy, digits))
             elif N == 2:
                 records.extend(_harmonic_checks(digits))
             elif N == 3:
-                records.extend(_cubic_checks(recs, table, digits))
+                records.extend(_cubic_checks(recs, table, idents, digits))
             elif N == 6:
                 records.extend(_sextic_checks(table, digits))
             timings[f"N{N}"] = time.time() - t0

@@ -4,10 +4,13 @@ Zeta values Z(s) = sum E_k^(-s) (full, alternating, or single-parity) are
 computed from a finite spectrum plus a semiclassical tail: the eigenvalue
 index is mapped to energy through the counting relation
 2*pi*(k + 1/2) = b0 E^mu + b1 E^(-mu) + b2 E^(-3mu) + ..., the head is summed
-directly, and the tail becomes a combination of Hurwitz zeta values after
-inverting that relation into a power expansion of E_k^(-s) in (k + 1/2);
-each tail is one batch of exponents at one shift on the Hurwitz kernel of
-`numerics`.  Beyond the exactly known leading coefficients, higher counting
+directly, and the tail becomes a combination of Hurwitz zeta values.  Each
+parity class has one tail-model form, E_k ~ lead * x^q * F(x^-2) with
+x = a (k + 1/2) and F = 1 + F_1 x^-2 + ...; the powers F^alpha it needs
+(inverting the counting relation, and E_k^(-s) = lead^-s x^(-qs) F^(-s))
+come from one power-series recurrence, and each tail is one batch of
+exponents q s + 2r at one shift on the Hurwitz kernel of `numerics`.
+Beyond the exactly known leading coefficients, higher counting
 coefficients are calibrated per parity class against the computed
 eigenvalues themselves, with a held-out eigenvalue supplying the error
 estimate; the calibration does not depend on s, so `zeta_values` runs it
@@ -28,7 +31,7 @@ import dataclasses
 from fractions import Fraction
 
 import mpmath
-from mpmath import mpf, mpc
+from mpmath import mpf
 
 from .errors import (
     DivergentSeriesError,
@@ -112,116 +115,61 @@ class ZetaValue:
 
 
 # --------------------------------------------------------------------------
-# Truncated expansions in inverse powers of the index variable
-# --------------------------------------------------------------------------
-
-class _XSeries:
-    """x^p * (f0 + f1 x^-2 + f2 x^-4 + ...), numeric coefficients, fixed
-    truncation depth.  Just enough Laurent algebra to invert the counting
-    relation and expand E_k^(-s)."""
-
-    __slots__ = ("p", "f")
-
-    def __init__(self, p, f):
-        self.p = mpf(p)
-        self.f = [mpf(c) if not isinstance(c, (mpf, mpc)) else c for c in f]
-
-    @property
-    def depth(self):
-        return len(self.f)
-
-    def add(self, other: "_XSeries") -> "_XSeries":
-        # exponents must agree mod 2 with self.p >= other.p
-        if self.p == other.p:
-            T = min(self.depth, other.depth)
-            return _XSeries(self.p, [a + b for a, b in zip(self.f[:T], other.f[:T])])
-        shift = (self.p - other.p) / 2
-        k = int(mpmath.nint(shift))
-        if abs(shift - k) > mpf("1e-20") or k < 0:
-            raise ValueError("incompatible exponents")
-        T = self.depth
-        out = list(self.f[:T])
-        for i, b in enumerate(other.f):
-            if i + k < T:
-                out[i + k] += b
-        return _XSeries(self.p, out)
-
-    def scale(self, c) -> "_XSeries":
-        return _XSeries(self.p, [a * c for a in self.f])
-
-    def power(self, alpha) -> "_XSeries":
-        """(x^p f)^alpha via the binomial series on f/f0."""
-        alpha = mpf(alpha)
-        T = self.depth
-        f0 = self.f[0]
-        g = [c / f0 for c in self.f]
-        g[0] = mpf(0)  # g = f/f0 - 1
-        out = [mpf(0)] * T
-        out[0] = mpf(1)
-        gi = [mpf(1)] + [mpf(0)] * (T - 1)  # g^i running product
-        binom = mpf(1)
-        for i in range(1, T):
-            # g^i
-            nxt = [mpf(0)] * T
-            for a in range(T):
-                if gi[a] == 0:
-                    continue
-                for b in range(1, T - a):
-                    nxt[a + b] += gi[a] * g[b]
-            gi = nxt
-            binom *= (alpha - (i - 1)) / i
-            for r in range(T):
-                out[r] += binom * gi[r]
-        pref = mpmath.power(f0, alpha)
-        return _XSeries(self.p * alpha, [pref * c for c in out])
-
-    def eval(self, x):
-        x = mpmath.mpmathify(x)
-        acc = mpf(0)
-        for r, c in enumerate(self.f):
-            acc += c * x ** (self.p - 2 * r)
-        return acc
-
-
-def _invert_counting(b, mu, depth):
-    """Solve x = b[0] y + b[1] y^-1 + b[2] y^-3 + ... for y = E^mu as an
-    _XSeries in x, to the given depth."""
-    y = _XSeries(1, [1 / b[0]] + [mpf(0)] * (depth - 1))
-    for _ in range(depth + 1):
-        rhs = _XSeries(1, [mpf(1)] + [mpf(0)] * (depth - 1))  # x itself
-        for j in range(1, len(b)):
-            if b[j] == 0:
-                continue
-            rhs = rhs.add(y.power(1 - 2 * j).scale(-b[j]))
-        y = rhs.scale(1 / b[0])
-    return y
-
-
-# --------------------------------------------------------------------------
 # Per-parity tail models
 # --------------------------------------------------------------------------
 
-class _TailModel:
-    """Expansion E_k ~ scale-free power series in x = a*(k+1/2) for one
-    parity class, able to emit the power representation of E_k^(-s)."""
+def _series_power(f, alpha):
+    """Coefficients of F(u)^alpha for F = f[0] + f[1] u + ... with f[0] = 1,
+    to the length of f: m p_m = sum_{k=1..m} ((alpha+1) k - m) f_k p_{m-k}."""
+    p = [mpf(1)]
+    for m in range(1, len(f)):
+        p.append(sum(((alpha + 1) * k - m) * f[k] * p[m - k]
+                     for k in range(1, m + 1)) / m)
+    return p
 
-    def __init__(self, a, y_series, inv_mu):
-        self.a = a              # x = a * (k + 1/2)
-        self.y = y_series       # y(x) with E = y^inv_mu
-        self.inv_mu = inv_mu
+
+class _TailModel:
+    """E_k ~ lead * x^q * F(x^-2) for one parity class, x = a*(k+1/2), with
+    F given by its coefficients f (f[0] = 1); emits the power representation
+    of E_k^(-s)."""
+
+    def __init__(self, a, q, lead, f):
+        self.a, self.q, self.lead, self.f = a, q, lead, f
 
     def energy(self, k):
         x = self.a * (mpf(k) + mpf(1) / 2)
-        return self.y.eval(x) ** self.inv_mu
+        return self.lead * x ** self.q \
+            * sum(c * x ** (-2 * r) for r, c in enumerate(self.f))
 
     def inverse_power_terms(self, s):
-        """E_k^(-s) ~ sum_r coeff_r * (k+1/2)^(-e_r); returns [(coeff, e)]."""
-        es = self.y.power(-mpf(s) * self.inv_mu)
+        """E_k^(-s) ~ sum_r coeff_r * (k+1/2)^(-e_r) with e_r = q s + 2 r;
+        returns [(coeff, e)]."""
+        lead = self.lead ** (-s)
         out = []
-        for r, c in enumerate(es.f):
-            e = -(es.p - 2 * r)
-            out.append((c * mpmath.power(self.a, -e), e))
+        for r, c in enumerate(_series_power(self.f, -s)):
+            e = self.q * s + 2 * r
+            out.append((lead * c * mpmath.power(self.a, -e), e))
         return out
+
+
+def _invert_counting(b, mu):
+    """Solve x = b[0] y + b[1] y^-1 + b[2] y^-3 + ... for y = E^mu in the
+    form y = x y0 Y(x^-2), y0 = 1/b[0], by iterating
+    Y = 1 - sum_{j>=1} b[j] y0^(1-2j) x^(-2j) Y^(1-2j) on TAIL_DEPTH
+    coefficients; returns (y0, coefficients of Y)."""
+    y0 = 1 / b[0]
+    Y = [mpf(1)] + [mpf(0)] * (TAIL_DEPTH - 1)
+    for _ in range(TAIL_DEPTH + 1):
+        nxt = [mpf(1)] + [mpf(0)] * (TAIL_DEPTH - 1)
+        for j in range(1, len(b)):
+            if b[j] == 0:
+                continue
+            w = b[j] * y0 ** (1 - 2 * j)
+            p = _series_power(Y, 1 - 2 * j)
+            for r in range(TAIL_DEPTH - j):
+                nxt[r + j] -= w * p[r]
+        Y = nxt
+    return y0, Y
 
 
 # Rational coefficients of the large-index expansions of the negative-axis
@@ -233,16 +181,12 @@ AIRY_DERIV_ZERO_COEFFS = [Fraction(-7, 48), Fraction(35, 288),
                           Fraction(-181223, 207360), Fraction(18683371, 1244160)]
 
 
-def _airy_tail_model(parity_even: bool, depth: int) -> _TailModel:
+def _airy_tail_model(parity_even: bool) -> _TailModel:
     """N=1: both parity classes obey t = (3 pi / 4)(k + 1/2) with
     E = t^(2/3) (1 + sum c_j t^(-2j)); the c_j differ per class."""
     coeffs = AIRY_DERIV_ZERO_COEFFS if parity_even else AIRY_ZERO_COEFFS
     f = [mpf(1)] + [mpf(c.numerator) / c.denominator for c in coeffs]
-    f = f[:depth] + [mpf(0)] * max(0, depth - len(f))
-    # E = t^{2/3} (1 + sum); y = E^mu with mu = 3/2
-    y = _XSeries(mpf(2) / 3, f).power(mpf(3) / 2)
-    a = 3 * mpmath.pi / 4
-    return _TailModel(a, y, mpf(2) / 3)
+    return _TailModel(3 * mpmath.pi / 4, mpf(2) / 3, mpf(1), f[:TAIL_DEPTH])
 
 
 def _fit_tail_model(N, class_points, coeffs: BohrSommerfeldCoeffs):
@@ -271,8 +215,9 @@ def _fit_tail_model(N, class_points, coeffs: BohrSommerfeldCoeffs):
             rhs.append(resid)
         sol = mpmath.lu_solve(mpmath.matrix(rows), mpmath.matrix(rhs))
         b.extend(sol[i] for i in range(n_fit))
-    y = _invert_counting(b, mu, TAIL_DEPTH)
-    model = _TailModel(2 * mpmath.pi, y, 1 / mu)
+    y0, Y = _invert_counting(b, mu)
+    model = _TailModel(2 * mpmath.pi, 1 / mu, y0 ** (1 / mu),
+                       _series_power(Y, 1 / mu))
     # holdout: earliest class point not used in the fit
     hold = class_points[-(n_fit + 1)] if len(class_points) > n_fit else class_points[0]
     k, e = hold
@@ -338,7 +283,7 @@ def _class_model(N, rec: SpectrumRecord, coeffs, dps):
     """(_TailModel, relative holdout error) for one parity record, at the
     ambient precision: the exact Airy expansion for N=1, else a fit."""
     if N == 1:
-        model = _airy_tail_model(rec.parity == "+", TAIL_DEPTH)
+        model = _airy_tail_model(rec.parity == "+")
         k_chk, e_chk = _class_points(rec)[-1]
         return model, max(mpf(10) ** (-dps),
                           abs(model.energy(k_chk) / e_chk - 1))
@@ -450,8 +395,7 @@ def zeta_em(N: int, kind: str, s, records,
 # Determinants and the functional equation
 # --------------------------------------------------------------------------
 
-def determinant_series(N: int, kind: str, lam, zeta_values, Zprime0,
-                       dps: int = DEFAULT_DPS):
+def determinant_series(lam, zeta_values, Zprime0, dps: int = DEFAULT_DPS):
     """D(lambda) = exp(-Z'(0) - sum_{n=1}^{M} Z(n) (-lambda)^n / n).
 
     zeta_values: numbers Z(1)..Z(M) in order (ZetaValue or plain numbers).
@@ -499,12 +443,10 @@ def functional_eq_residual(N: int, lam, plus_values, minus_values,
         phase = mpmath.exp(1j * mpmath.pi * nu)
 
         def dplus(x):
-            return determinant_series(N, "plus", x, plus_values,
-                                      plus_prime0, dps)
+            return determinant_series(x, plus_values, plus_prime0, dps)
 
         def dminus(x):
-            return determinant_series(N, "minus", x, minus_values,
-                                      minus_prime0, dps)
+            return determinant_series(x, minus_values, minus_prime0, dps)
 
         lhs = phase * dplus(lam) * dminus(w * lam) \
             - dplus(w * lam) * dminus(lam) / phase

@@ -236,6 +236,22 @@ class TestConfigHandling:
         captured = capsys.readouterr()
         assert "'digitz'" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("command, fmt", [
+        ("table", "json"), ("table", "csv"), ("derive", "csv"),
+        ("verify", "csv")])
+    def test_unwritable_format_rejected(self, command, fmt, tmp_path,
+                                        capsys):
+        # from a flag or from a config file: exit 2 before any work, and
+        # the message names the command and the format
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"N = 2\nformat = {fmt}\n")
+        for argv in ([command, "--N", "2", "--format", fmt],
+                     [command, "--config", str(cfgfile)]):
+            assert run(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"{command} cannot write format '{fmt}'" in captured.err
+
     def test_missing_config_file(self, capsys):
         assert run(["spectrum", "--config", "/nonexistent/path.cfg"]) == 2
 

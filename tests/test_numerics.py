@@ -292,8 +292,7 @@ class TestAiry:
         # merged spectrum ('-' parity), that of Ai' level 78 ('+')
         for deriv in (0, 1):
             with mp.workdps(30):
-                model = zetafns._airy_tail_model(deriv == 1,
-                                                 zetafns.TAIL_DEPTH)
+                model = zetafns._airy_tail_model(deriv == 1)
                 approx = model.energy(2 * 40 - 1 - deriv)
                 assert close(approx, -mp.airyaizero(40, derivative=deriv),
                              "1e-15")

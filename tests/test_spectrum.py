@@ -2,6 +2,7 @@
 and the counting-function diagnostic."""
 
 import json
+import math
 import os
 
 import mpmath as mp
@@ -15,6 +16,7 @@ from osczeta.spectrum import (
     eigenvalues,
     merged_spectrum,
 )
+from osczeta.zetafns import bohr_sommerfeld_b0
 
 # exact binary values (sign, mantissa, exponent, bitcount) of the first two
 # eigenvalues per sector: N = 2..6 at 15 and 30 digits as returned by the
@@ -141,6 +143,20 @@ class TestSolverConsistency:
             3, "+", plus.eigenvalues[:3] + plus.eigenvalues[4:],
             plus.certified_digits[:-1])
         assert counting_check(gapped)["missed_eigenvalue_flag"]
+
+    @pytest.mark.parametrize("N", [7, 8, 9, 11, 12, 16])
+    @pytest.mark.parametrize("parity", ["+", "-"])
+    def test_large_degree_low_levels_in_order(self, N, parity):
+        # at low levels of large N the semiclassical bracket window can hold
+        # two levels; a skipped or repeated level leaves a Bohr-Sommerfeld
+        # residual near 1
+        rec = eigenvalues(N, parity, 3, 15)
+        b0 = float(bohr_sommerfeld_b0(N, 20))
+        mu = (N + 2) / (2 * N)
+        for j, e in enumerate(rec.eigenvalues):
+            residual = b0 / (2 * math.pi) * float(e) ** mu \
+                - (rec.full_index(j) + 0.5)
+            assert abs(residual) < 0.5
 
     def test_precision_doubling(self, spectra3):
         # a low-precision run must agree with the deep run on all its digits

@@ -1,10 +1,13 @@
 """Zeta summation, determinant series, and functional-equation residuals."""
 
+import json
+import os
+
 import mpmath as mp
 import pytest
 
 from osczeta import closedforms as cf
-from osczeta import zetafns
+from osczeta import verify, zetafns
 from osczeta.errors import (
     DivergentSeriesError,
     InsufficientTermsError,
@@ -19,6 +22,17 @@ from osczeta.zetafns import (
     zeta_em,
 )
 from osczeta.verify import em_zeta_table, run_battery
+
+# em_zeta_table(N, fixture pair, 14, dps) at the fixture precision (45 digits
+# for N=1, 30 otherwise) and at 20 digits, each value as its exact binary
+# (sign, mantissa, exponent, bitcount) plus certified_digits, keyed
+# "N.kind.n@dps"; recorded with the Laurent-series tail models that the
+# lead * x^q * F(x^-2) form replaced
+with open(os.path.join(os.path.dirname(__file__), "data",
+                       "em_zeta_table_snapshot.json"), encoding="utf-8") as _fh:
+    EM_SNAPSHOT = json.load(_fh)
+
+FIXTURE_DPS = {1: 45, 2: 30, 3: 30, 6: 30}
 
 
 class TestBohrSommerfeld:
@@ -155,13 +169,23 @@ class TestZetaTable:
             hypers.append(args)
             return hyper(*args, **kwargs)
 
+        derive = verify.derive_sum_rules
+        derived = []
+
+        def counted_derive(*args, **kwargs):
+            derived.append(args)
+            return derive(*args, **kwargs)
+
         monkeypatch.setattr(zetafns, "_fit_tail_model", counted_fit)
         monkeypatch.setattr(cf, "hyper_4f3", counted_hyper)
+        monkeypatch.setattr(verify, "derive_sum_rules", counted_derive)
         run_battery((3,), 20, 12, spectra={3: spectra3})
         # one fit per record for the table and one per record for the
-        # five-level reference run; each 4F3 closed form once
+        # five-level reference run; each 4F3 closed form once; one
+        # derivation serves the common and the cubic checks
         assert len(fits) == 4
         assert len(hypers) == 2
+        assert derived == [(3, 6)]
 
     def test_no_hurwitz_call_to_mpmath_zeta(self, spectra1, spectra3,
                                              monkeypatch):
@@ -180,6 +204,35 @@ class TestZetaTable:
         assert run_battery((2,), 8, 5).passed
 
 
+class TestTailModel:
+    @pytest.mark.parametrize("alpha", [3, -2, mp.mpf(1) / 2,
+                                       -mp.mpf(7) / 3, mp.mpf("-1.37")])
+    def test_series_power_against_taylor(self, alpha):
+        f = [mp.mpf(1), mp.mpf(5) / 48, -mp.mpf(5) / 36, mp.mpf("0.93"),
+             mp.mpf("-15.5"), mp.mpf(2) / 7]
+        with mp.workdps(40):
+            got = zetafns._series_power(f, alpha)
+            ref = mp.taylor(
+                lambda u: sum(c * u ** r for r, c in enumerate(f)) ** alpha,
+                0, len(f) - 1)
+            assert len(got) == len(f)
+            for p, q in zip(got, ref):
+                assert abs(p - q) < mp.mpf("1e-25")
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 6])
+    def test_table_bit_identical_to_snapshot(self, N, request):
+        spectra = request.getfixturevalue(f"spectra{N}")
+        for dps in (FIXTURE_DPS[N], 20):
+            got = {}
+            for (kind, n), zv in em_zeta_table(N, spectra, 14, dps).items():
+                sign, man, exp, bc = zv.value._mpf_
+                got[f"{N}.{kind}.{n}@{dps}"] = [sign, int(man), exp, bc,
+                                                zv.certified_digits]
+            want = {k: v for k, v in EM_SNAPSHOT.items()
+                    if k.startswith(f"{N}.") and k.endswith(f"@{dps}")}
+            assert got == want
+
+
 class TestDeterminant:
     def harmonic_inputs(self, kind, M=120, dps=40):
         vals = [cf.harmonic_zeta(kind, n, dps) for n in range(1, M + 1)]
@@ -189,24 +242,24 @@ class TestDeterminant:
         vals, zp0 = self.harmonic_inputs("full")
         with mp.workdps(40):
             for lam in ("-0.5", "0.3", "0.6"):
-                d = determinant_series(2, "full", mp.mpf(lam), vals, zp0, 30)
+                d = determinant_series(mp.mpf(lam), vals, zp0, 30)
                 ref = cf.harmonic_determinant("full", mp.mpf(lam), 35)
                 assert abs(d - ref) < mp.mpf("1e-25")
 
     def test_radius_guard(self):
         vals, zp0 = self.harmonic_inputs("full", M=40)
         with pytest.raises(RadiusExceededError):
-            determinant_series(2, "full", mp.mpf("1.2"), vals, zp0, 30)
+            determinant_series(mp.mpf("1.2"), vals, zp0, 30)
 
     def test_tail_guard(self):
         # too few terms for the requested precision near the disk edge
         vals, zp0 = self.harmonic_inputs("full", M=12)
         with pytest.raises(InsufficientTermsError):
-            determinant_series(2, "full", mp.mpf("0.9"), vals, zp0, 40)
+            determinant_series(mp.mpf("0.9"), vals, zp0, 40)
 
     def test_complex_argument(self):
         vals, zp0 = self.harmonic_inputs("full")
-        d = determinant_series(2, "full", mp.mpc("0.2", "0.3"), vals, zp0, 30)
+        d = determinant_series(mp.mpc("0.2", "0.3"), vals, zp0, 30)
         assert isinstance(d, mp.mpc)
 
 
