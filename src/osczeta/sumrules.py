@@ -17,10 +17,12 @@ exp(Z'(0)) = sin(nu pi); each higher order n, after normalization, reads
 with P_n a homogeneous weight-n polynomial in the twisted values ZP(m),
 m < n.  All coefficients live in the cyclotomic field of conductor 2(N+2).
 
-One loop over n does the derivation.  With log coefficients A_k, B_k of
-the two products, the exp coefficients follow from
-n E_n = sum_{k=1}^{n} k A_k E_{n-k}.  Once order n is solved for Z(n), that
-value goes into A_n and B_n (and so into E_n) before order n+1 starts: every
+One loop over n does the derivation on one series, the log coefficients A_k
+of D+(l) D-(w l), whose exp coefficients follow from
+n E_n = sum_{k=1}^{n} k A_k E_{n-k}.  The other product D+(w l) D-(l) is the
+first with its coefficients conjugated (zeta -> 1/zeta) and l -> w l, so its
+order-n coefficient is w^n conj(E_n).  Once order n is solved for Z(n), that
+real value goes into A_n (and so into E_n) before order n+1 starts: every
 later order is born in the twisted basis and no rhs is substituted.
 """
 
@@ -106,18 +108,16 @@ def derive_sum_rules(N: int, n_max: int):
     m = 2 * (N + 2)
     zeta = CycloNumber.zeta(m, 1)          # e^{i nu pi}
     zeta_inv = zeta.conjugate()
-    omega = CycloNumber.zeta(m, 4)         # e^{4 i nu pi}
-    two_i_sin = zeta - zeta_inv            # 2i sin(nu pi)
+    inv_two_i_sin = (zeta - zeta_inv).inverse()    # 1 / (2i sin(nu pi))
 
     out = [SumRuleIdentity(
         N, 0, SymPoly.symbol(ZSymbol(ZKind.ZPLUS_PRIME0, 0))
         + SymPoly.symbol(ZSymbol(ZKind.ZMINUS_PRIME0, 0)),
         SymPoly.zero(), "Zprime0", exp_rhs=cos_pi_frac(N, 2 * (N + 2)))]
 
-    # log and exp coefficients of D+(l) D-(w l) (a) and D+(w l) D-(l) (b),
-    # with each solved Z(m) already replaced by its twisted-basis value
-    log_a, log_b = [None], [None]
-    exp_a, exp_b = [SymPoly.constant(1)], [SymPoly.constant(1)]
+    # log and exp coefficients A_k, E_k of D+(l) D-(w l), with each solved
+    # Z(m) already replaced by its twisted-basis value
+    log, exp = [None], [SymPoly.constant(1)]
     # right-hand side (divided by exp(-Z'(0)), i.e. times sin(nu pi)):
     # 2i sin(nu pi) times 1 in general, times e^{-i pi l/4} = exp(-i ZP(1) l)
     # for N=2, with pi/4 = ZP(1); rhs_n is its order-n coefficient
@@ -126,31 +126,30 @@ def derive_sum_rules(N: int, n_max: int):
         rhs_step = SymPoly.symbol(ZSymbol(ZKind.ZTWISTED, 1),
                                   -CycloNumber.zeta(4, 1))
     rhs_n = SymPoly.constant(1)
-    w_n = rational(1)
     for n in range(1, n_max + 1):
-        # the order-n log coefficients are c_n (Z+(n) + w^n Z-(n)) and
-        # c_n (w^n Z+(n) + Z-(n)), c_n = (-1)^(n+1)/n, i.e.
-        # c_n ((1 + w^n)/2 Z(n) +- (1 - w^n)/2 ZP(n))
-        w_n = w_n * omega
+        # the order-n log coefficient is c_n (Z+(n) + w^n Z-(n)),
+        # c_n = (-1)^(n+1)/n, i.e. c_n ((1 + w^n)/2 Z(n) + (1 - w^n)/2 ZP(n))
+        w_n = zeta ** (4 * n)              # w = e^{4 i nu pi}
         half_c = Fraction((-1) ** (n + 1), 2 * n)
         full, tw = ZSymbol(ZKind.ZFULL, n), ZSymbol(ZKind.ZTWISTED, n)
         log_full, log_tw = (w_n + 1) * half_c, (1 - w_n) * half_c
-        log_a.append(SymPoly({((full, 1),): log_full, ((tw, 1),): log_tw}))
-        log_b.append(SymPoly({((full, 1),): log_full, ((tw, 1),): -log_tw}))
+        log.append(SymPoly({((full, 1),): log_full, ((tw, 1),): log_tw}))
         # n E_n = sum_k k A_k E_{n-k}; the k = n term A_n is added below
-        lower_a, lower_b = {}, {}
+        lower = {}
         for k in range(1, n):
-            scale = rational(Fraction(k, n))
-            _mul_into(lower_a, log_a[k].terms, exp_a[n - k].terms, scale)
-            _mul_into(lower_b, log_b[k].terms, exp_b[n - k].terms, scale)
-        lower_a, lower_b = SymPoly(lower_a), SymPoly(lower_b)
+            _mul_into(lower, log[k].terms, exp[n - k].terms,
+                      rational(Fraction(k, n)))
+        lower = SymPoly(lower)
         rhs_n = (rhs_n * rhs_step).scaled(Fraction(1, n))
 
-        fnorm = rational(Fraction((-1) ** (n + 1) * n)) \
-            * (zeta_inv ** (2 * n)) * two_i_sin.inverse()
-        raw = (lower_a + log_a[n]).scaled(zeta * fnorm) \
-            - (lower_b + log_b[n]).scaled(zeta_inv * fnorm) \
-            - rhs_n.scaled(two_i_sin * fnorm)
+        # D+(w l) D-(l) has order-n coefficient w^n conj(E_n), conj being
+        # zeta -> 1/zeta (the symbols and the folded Z(m) are real), so the
+        # normalized identity is Y + conj Y = (-1)^(n+1) n zeta^(-2n) rhs_n
+        # with Y = (-1)^(n+1) n zeta^(1-2n) E_n / (2i sin(nu pi))
+        rhs_scale = rational((-1) ** (n + 1) * n) * zeta_inv ** (2 * n)
+        y = (lower + log[n]).scaled(rhs_scale * zeta * inv_two_i_sin)
+        raw = SymPoly({mo: c + c.conjugate() for mo, c in y.terms.items()}) \
+            - rhs_n.scaled(rhs_scale)
 
         # terms carrying an order-n symbol stay left, the rest move right
         top = {mo for mo in raw.terms if any(s.order == n for s, _ in mo)}
@@ -167,18 +166,16 @@ def derive_sum_rules(N: int, n_max: int):
             raise AssertionError(f"inhomogeneous rhs at N={N}, n={n}")
         c_full = lhs.terms.get(((full, 1),))
         if c_full is not None and not c_full.is_zero():
-            # Z(n) = (rhs - c_tw * ZP(n)) / c_full, put into A_n and B_n
+            # Z(n) = (rhs - c_tw * ZP(n)) / c_full, put into A_n
             expr = rhs
             c_tw = lhs.terms.get(((tw, 1),))
             if c_tw is not None:
                 expr = expr - SymPoly.symbol(tw, c_tw)
-            expr = expr.scaled(c_full.inverse() * log_full)
-            log_a[n] = expr + SymPoly.symbol(tw, log_tw)
-            log_b[n] = expr - SymPoly.symbol(tw, log_tw)
+            log[n] = expr.scaled(c_full.inverse() * log_full) \
+                + SymPoly.symbol(tw, log_tw)
         out.append(SumRuleIdentity(N, n, lhs, rhs, classify_lhs(N, n),
                                    degenerate=degenerate))
-        exp_a.append(lower_a + log_a[n])
-        exp_b.append(lower_b + log_b[n])
+        exp.append(lower + log[n])
     return out
 
 

@@ -2,6 +2,7 @@
 and exit codes."""
 
 import dataclasses
+import hashlib
 import json
 import os
 
@@ -21,6 +22,13 @@ with open(SNAPSHOT_PATH, encoding="utf-8") as _fh:
 with open(os.path.join(os.path.dirname(__file__), "data",
                        "derive_snapshot_nmax12.json"), encoding="utf-8") as _fh:
     DEEP_DERIVE_SNAPSHOT = json.load(_fh)
+
+# SHA-256 of `osczeta derive --N <N> --nmax 16` stdout, in text and JSON,
+# recorded with the derivation that carried D+(l)D-(wl) and D+(wl)D-(l) as
+# two separate series
+with open(os.path.join(os.path.dirname(__file__), "data",
+                       "derive_digest_nmax16.json"), encoding="utf-8") as _fh:
+    DERIVE_DIGESTS = json.load(_fh)
 
 # `osczeta verify --format json` stdout for small N=1 and N=2 runs, and the
 # default battery's JSON, recorded with mpmath's lerchphi on the alternating
@@ -117,6 +125,19 @@ class TestDeepDeriveSnapshot:
         nmax = str(DEEP_DERIVE_SNAPSHOT["nmax"])
         assert run(["derive", "--N", N, "--nmax", nmax]) == 0
         assert capsys.readouterr().out == DEEP_DERIVE_SNAPSHOT["text"][N]
+
+
+class TestDeriveDigests:
+    """The derive text and JSON at nmax 16 are fixed byte for byte, for
+    every degree 1..10."""
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("N", sorted(DERIVE_DIGESTS["text"], key=int))
+    def test_stdout_digest(self, N, fmt, capsys):
+        assert run(["derive", "--N", N, "--nmax", str(DERIVE_DIGESTS["nmax"]),
+                    "--format", fmt]) == 0
+        out = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(out).hexdigest() == DERIVE_DIGESTS[fmt][N]
 
 
 class TestVerifySnapshot:

@@ -12,6 +12,7 @@ from functools import lru_cache
 import mpmath as mp
 import pytest
 
+from osczeta import sumrules
 from osczeta.closedforms import closed_form_eval
 from osczeta.cyclo import (
     CycloNumber,
@@ -366,6 +367,30 @@ class TestDerivationWork:
 
         monkeypatch.setattr(SymPoly, "substitute", refuse)
         assert [i.order for i in derive_sum_rules(N, 10)] == list(range(11))
+
+    @pytest.mark.parametrize("N, n_max", [(1, 6), (2, 8), (5, 10), (6, 12)])
+    def test_one_product_series(self, N, n_max, monkeypatch):
+        # order n convolves one series, D+(l)D-(wl), in n - 1 products; the
+        # other product is its conjugate and costs no convolution
+        calls = []
+        original = sumrules._mul_into
+
+        def counting(*args):
+            calls.append(None)
+            return original(*args)
+
+        monkeypatch.setattr(sumrules, "_mul_into", counting)
+        derive_sum_rules(N, n_max)
+        assert len(calls) == n_max * (n_max - 1) // 2
+
+    @pytest.mark.parametrize("N", range(1, 11))
+    def test_coefficients_are_real(self, N):
+        # the single-series derivation rests on this: every identity is
+        # fixed by complex conjugation zeta -> 1/zeta
+        for ident in derive_sum_rules(N, 10):
+            for side in (ident.lhs, ident.rhs):
+                for c in side.terms.values():
+                    assert c == c.conjugate(), (ident.order, c.text())
 
 
 class TestCopyAndPickle:
