@@ -22,6 +22,7 @@ import enum
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 import mpmath
 from mpmath import mpf
@@ -393,6 +394,11 @@ def integer_sequence(kind: IntegerSequenceKind, index: int):
 # Integer fixed-point Taylor kernel
 # --------------------------------------------------------------------------
 
+#: terms the Taylor kernel sums beyond a series' two starting terms before
+#: it gives the step up
+TAYLOR_MAX_TERMS = 401
+
+
 def _taylor_step(u, P, tol_h, starts, h2):
     """Advance psi'' = p(q) psi by one step h from q0, p a polynomial, with
     the local Taylor recurrence on scaled terms d_k = c_k h^k, integers in
@@ -403,37 +409,51 @@ def _taylor_step(u, P, tol_h, starts, h2):
     `starts` holds (d_0, d_1) of psi, then optionally of dpsi/dE, whose
     terms have the extra source -h2 d_k (h2 = h^2).  Returns value and
     h * derivative at q0 + h for each series.  Only the psi terms, against
-    `tol_h` = tol * |h|, decide convergence."""
+    `tol_h` = tol * |h|, decide convergence; |h| <= 1 is assumed.  A step
+    that has not converged after TAYLOR_MAX_TERMS terms raises
+    PrecisionUnreachableError.
+
+    Each series carries n - 1 leading zeros (n = len(u)), so the terms
+    d_{k-n+1} .. d_k are the forward slice [k, k + n) against u reversed,
+    zero where the index is negative."""
     n = len(u)
-    series = [list(pair) for pair in starts]
-    d = series[0]
-    scale = max(abs(d[0]), abs(d[1]))
+    u_rev = u[::-1]
+    series = [[0] * (n - 1) + list(pair) for pair in starts]
+    d, *d_e = series
+    scale = max(abs(d[-2]), abs(d[-1]))
     limit = tol_h * scale >> P
-    k = 0
     prev_small = False
-    while k <= 400:
-        # terms d_k, d_{k-1}, ..., d_{k-n+1} against u_0 ... u_{n-1}
-        window = slice(k, k - n, -1) if k >= n else slice(k, None, -1)
+    for k in range(TAYLOR_MAX_TERMS):
         den = (k + 1) * (k + 2)
-        source = 0
-        for s in series:
-            s.append(((sum(map(int.__mul__, u, s[window])) - source) >> P) // den)
-            source = h2 * d[k]
-        k += 1
-        size = abs(d[-1])
+        end = k + n
+        term = (sum(map(mul, u_rev, d[k:end])) >> P) // den
+        for s in d_e:
+            s.append(((sum(map(mul, u_rev, s[k:end])) - h2 * d[end - 1])
+                      >> P) // den)
+        d.append(term)
+        size = abs(term)
         if size > scale:
             scale = size
             limit = tol_h * scale >> P
-        # with |h| <= 1/2, (k+1)|d| < tol*scale*|h| bounds both the value
-        # term |d| and the derivative term (k+1)|d|/|h| by tol*scale
-        small = (k + 1) * size < limit
+        # with |h| <= 1, (k+2)|d| < tol*scale*|h| bounds both the value
+        # term |d| and the derivative term (k+2)|d|/|h| by tol*scale.  A
+        # step so short that the bound is below one unit never gets there:
+        # its terms decay to the floor division's residue, 0 or -1, which
+        # ends the sum as well
+        small = (k + 2) * size < limit or size <= 1
         # parity of the potential can zero out every other coefficient, so a
         # single tiny term is not evidence of convergence
-        if k > 4 and small and prev_small:
+        if k > 3 and small and prev_small:
             break
         prev_small = small
+    else:
+        raise PrecisionUnreachableError(
+            f"Taylor step did not converge in {TAYLOR_MAX_TERMS} terms: the "
+            "step is too long for the size of the potential")
+    # the leading zeros sit at negative powers, where they add nothing
+    powers = range(1 - n, len(d) + 1 - n)
     return [v for s in series
-            for v in (sum(s), sum(map(int.__mul__, range(len(s)), s)))]
+            for v in (sum(s), sum(map(mul, powers, s)))]
 
 
 # --------------------------------------------------------------------------

@@ -7,9 +7,13 @@ q=0 against an inward integration carrying decaying initial data from the
 point where the WKB action reaches half of (dps+10) ln 10; the error of that
 start dies inward as e^(-2A).  One kernel does all the integration:
 `numerics._taylor_step`, a high-order Taylor recurrence on Python integers
-in fixed point, which on request also carries dpsi/dE.  The matching
-Wronskian is bracketed on a semiclassical (Bohr-Sommerfeld) grid at low
-precision, shot outward from the prediction, then polished by Newton steps
+in fixed point, which on request also carries dpsi/dE.  The outward sweep
+counts nodes, so its steps h = min(1/4, 1/(2 sqrt E)) advance the phase by
+at most 0.5 rad; the inward sweep counts none and steps h = min(1, 6/rate),
+rate = sqrt(q^N - E), because at high precision a longer step needs fewer
+Taylor terms per unit length (Jorba & Zou, Exp. Math. 14, 2005).  The
+matching Wronskian is bracketed on a semiclassical (Bohr-Sommerfeld) grid at
+low precision, shot outward from the prediction, then polished by Newton steps
 whose precision follows the digits the last step gained, usually with one
 shoot at full precision.  Each accepted eigenvalue is certified by a
 Wronskian sign change across a relative bracket of 10^-(dps+4)/2 at full
@@ -195,7 +199,8 @@ def _shoot(N: int, E, parity: str, dps: int, slope: bool = False):
                 nodes += 1
                 positive = not positive
 
-        # inward sweep with decaying WKB data
+        # inward sweep with decaying WKB data; no node is counted here, so
+        # a step may span up to 6 local decay lengths 1/rate
         qmax = mpf(qmax_f)
         V = qmax ** N
         yp = -mpmath.sqrt(V - E) - N * qmax ** (N - 1) / (4 * (V - E))
@@ -203,7 +208,7 @@ def _shoot(N: int, E, parity: str, dps: int, slope: bool = False):
         q = int(mpmath.ldexp(qmax, P))
         while q > qm:
             rate = _forbidden_rate(N, Ef, q / one)
-            h = min(0.5, 3.0 / rate if rate > 0 else 0.5)
+            h = min(1.0, 6.0 / rate if rate > 0 else 1.0)
             h = min(int(mpmath.ldexp(h, P)), q - qm)
             advance(q, -h, inn)
             q -= h

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import time
 
 import pytest
 
@@ -280,6 +281,18 @@ class TestConfigHandling:
         assert run(["spectrum", "--N", "0"]) == 2
         assert run(["spectrum", "--digits", "3"]) == 2
         assert run(["zeta", "--N", "2", "--nmax", "-1"]) == 2
+
+    @pytest.mark.parametrize("N", [64, 100, 200])
+    def test_steep_potential_fails_fast(self, N, capsys):
+        # the steps are too long for q^N: the Taylor kernel runs out of
+        # terms, and the run ends with a typed error instead of a number
+        start = time.monotonic()
+        assert run(["spectrum", "--N", str(N), "--count", "1",
+                    "--digits", "15"]) == 2
+        assert time.monotonic() - start < 10
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "PrecisionUnreachableError" in captured.err
 
     def test_out_file(self, tmp_path):
         target = tmp_path / "spec.csv"

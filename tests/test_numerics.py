@@ -1,14 +1,17 @@
 """Unit tests for the special-function layer."""
 
 import json
+import math
 import os
 import time
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from osczeta import numerics, zetafns
+from osczeta import numerics, spectrum, zetafns
 from osczeta.errors import (
     CertificationError,
     DivergentSeriesError,
@@ -31,6 +34,7 @@ from osczeta.numerics import (
     hyper_4f3,
     integer_sequence,
 )
+from osczeta.precision import GUARD, working
 
 
 # the two 4F3 parameter sets of the N=3 closed forms (closedforms.py), and
@@ -209,6 +213,118 @@ class TestHurwitzMany:
             hurwitz_many([2], 0)
         with pytest.raises(ValueError):
             hurwitz_many([2], -1)
+
+
+def _reference_taylor_step(u, P, tol_h, starts, h2):
+    """The Taylor kernel in its earlier formulation, which took a reversed
+    slice of each series per term; None where it ran out of terms (it then
+    returned the unconverged sum)."""
+    n = len(u)
+    series = [list(pair) for pair in starts]
+    d = series[0]
+    scale = max(abs(d[0]), abs(d[1]))
+    limit = tol_h * scale >> P
+    k = 0
+    prev_small = False
+    while k <= 400:
+        window = slice(k, k - n, -1) if k >= n else slice(k, None, -1)
+        den = (k + 1) * (k + 2)
+        source = 0
+        for s in series:
+            s.append(((sum(map(int.__mul__, u, s[window])) - source) >> P)
+                     // den)
+            source = h2 * d[k]
+        k += 1
+        size = abs(d[-1])
+        if size > scale:
+            scale = size
+            limit = tol_h * scale >> P
+        small = (k + 1) * size < limit
+        if k > 4 and small and prev_small:
+            break
+        prev_small = small
+    else:
+        return None
+    return [v for s in series
+            for v in (sum(s), sum(map(int.__mul__, range(len(s)), s)))]
+
+
+def _step_inputs(N, E, q, h, dps, state):
+    """Kernel arguments as the shooting solver's `advance` builds them for
+    a step h from q at energy E, from state [psi, psi'] or [psi, psi',
+    dpsi/dE, dpsi'/dE] (all floats, h of either sign)."""
+    with working(dps, 15) as ctx:
+        P = ctx.prec + 8
+        tol = int(mp.ldexp(mp.mpf(10) ** (-(dps + GUARD + 10)), P))
+    q, h, e_fix = (int(math.ldexp(x, P)) for x in (q, h, E))
+    state = [int(math.ldexp(v, P)) for v in state]
+    shift = max(abs(state[0]), abs(state[1] * h) >> P).bit_length() - P
+    state = [v >> shift if shift > 0 else v << -shift for v in state]
+    u = [math.comb(N, j) * q ** (N - j) * h ** (j + 2) >> (N + 1) * P
+         for j in range(N + 1)]
+    u[0] -= e_fix * h * h >> 2 * P
+    starts = [(state[i], state[i + 1] * h >> P)
+              for i in range(0, len(state), 2)]
+    return u, P, tol * abs(h) >> P, starts, h * h >> P
+
+
+@st.composite
+def sweep_steps(draw):
+    """A step of either sweep of the shooting solver: outward (h > 0)
+    from q in [0, qm] with h up to h_osc, inward (h < 0) from q in
+    [qm, qmax] with |h| up to min(1, 6/rate)."""
+    N = draw(st.integers(min_value=1, max_value=10))
+    E = draw(st.floats(min_value=0.5, max_value=80))
+    dps = draw(st.sampled_from([8, 15, 30, 50]))
+    qm = 1.2 * E ** (1 / N)
+    fraction = draw(st.floats(min_value=0, max_value=1))
+    shorten = draw(st.floats(min_value=1 / 64, max_value=1))
+    if draw(st.booleans()):
+        q = fraction * qm
+        h = shorten * min(0.25, 0.5 / math.sqrt(max(E, 1.0)))
+    else:
+        q = qm + fraction * (spectrum._choose_qmax(N, E, qm, dps + 10) - qm)
+        rate = math.sqrt(max(q ** N - E, 0.0))
+        h = -shorten * min(1.0, 6.0 / rate if rate > 0 else 1.0)
+    # a solution is never zero: (psi, psi') has some length r
+    r = draw(st.floats(min_value=0.1, max_value=2))
+    angle = draw(st.floats(min_value=0, max_value=2 * math.pi))
+    state = [r * math.cos(angle), r * math.sin(angle)]
+    if draw(st.booleans()):
+        value = st.floats(min_value=-1e3, max_value=1e3)
+        state += [draw(value), draw(value)]
+    return _step_inputs(N, E, q, h, dps, state)
+
+
+class TestTaylorKernel:
+    @given(sweep_steps())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_reversed_slice_formulation(self, args):
+        u, P, tol_h, starts, h2 = args
+        assert 2 <= len(u) <= 11 and abs(h2) <= 1 << P
+        ref = _reference_taylor_step(u, P, tol_h, starts, h2)
+        assume(ref is not None)
+        assert numerics._taylor_step(u, P, tol_h, starts, h2) == ref
+
+    def test_sliver_step_stops_on_rounding_residue(self):
+        # a step a few units of 2^-P long has tol*|h| >> P = 0, so no term
+        # meets the tolerance; it stops once the terms are down to the
+        # floor division's residue instead of running out of terms
+        u, P, tol_h, starts, h2 = _step_inputs(2, 5.0, 2.68, 2.0 ** -118,
+                                               8, [0.5, -1.5, 3.0, 1.0])
+        assert tol_h == 0
+        out = numerics._taylor_step(u, P, tol_h, starts, h2)
+        for (d0, d1), value in zip(starts, out[::2]):
+            assert abs(value - d0 - d1) <= 8
+
+    def test_step_too_long_raises(self):
+        # q^10 - E is near 6e4 at q = 3, so the terms of a unit step grow
+        # until k is near sqrt(6e4) = 245 and need about e times that to
+        # fall back below the tolerance
+        args = _step_inputs(10, 1.0, 3.0, 1.0, 15, [1.0, 0.0])
+        with pytest.raises(PrecisionUnreachableError,
+                           match="did not converge"):
+            numerics._taylor_step(*args)
 
 
 class TestAiry:

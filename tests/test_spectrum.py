@@ -196,6 +196,28 @@ class TestSolverRegression:
         eigenvalues(3, "+", 1, 50)
         assert len(calls) <= 12
 
+    def test_taylor_steps_per_eigenvalue(self, monkeypatch):
+        # Taylor steps of one 30-digit level: the inward sweep steps
+        # min(1, 6/rate) through the forbidden region, which needs no node
+        # count; 133 steps in all
+        calls = []
+        step = spectrum._taylor_step
+
+        def counting(*args):
+            calls.append(args)
+            return step(*args)
+
+        monkeypatch.setattr(spectrum, "_taylor_step", counting)
+        eigenvalues(3, "+", 1, 30)
+        assert len(calls) <= 160
+
+    def test_sliver_final_outward_step(self):
+        # at E = 5, qm / h_osc = 2.4 E is whole for N = 2, so the outward
+        # sweep ends in a step a few units of 2^-P long, which the Taylor
+        # kernel must finish without running out of terms
+        w, nodes, _ = spectrum._shoot(2, mp.mpf(5), "+", 8)
+        assert nodes == 1 and abs(w) < 1e-15
+
     def test_one_full_precision_newton_shoot_per_level(self, monkeypatch):
         calls = []
         shoot = spectrum._shoot
