@@ -409,9 +409,13 @@ def _taylor_step(u, P, tol_h, starts, h2):
     `starts` holds (d_0, d_1) of psi, then optionally of dpsi/dE, whose
     terms have the extra source -h2 d_k (h2 = h^2).  Returns value and
     h * derivative at q0 + h for each series.  Only the psi terms, against
-    `tol_h` = tol * |h|, decide convergence; |h| <= 1 is assumed.  A step
-    that has not converged after TAYLOR_MAX_TERMS terms raises
-    PrecisionUnreachableError.
+    `tol_h` = tol * |h|, decide convergence; |h| <= 1 is assumed.  The sum
+    stops after n consecutive small terms: the recurrence reaches n terms
+    back, and at q0 = 0 the potential is u = [u_0, 0, ..., 0, u_N], whose
+    top coefficient feeds a term N places after its source, so fewer small
+    terms in a row can cut off a contribution still to come.  For the Airy
+    march (n = 2) that is two in a row.  A step that has not converged after
+    TAYLOR_MAX_TERMS terms raises PrecisionUnreachableError.
 
     Each series carries n - 1 leading zeros (n = len(u)), so the terms
     d_{k-n+1} .. d_k are the forward slice [k, k + n) against u reversed,
@@ -422,7 +426,7 @@ def _taylor_step(u, P, tol_h, starts, h2):
     d, *d_e = series
     scale = max(abs(d[-2]), abs(d[-1]))
     limit = tol_h * scale >> P
-    prev_small = False
+    run = 0
     for k in range(TAYLOR_MAX_TERMS):
         den = (k + 1) * (k + 2)
         end = k + n
@@ -441,11 +445,11 @@ def _taylor_step(u, P, tol_h, starts, h2):
         # its terms decay to the floor division's residue, 0 or -1, which
         # ends the sum as well
         small = (k + 2) * size < limit or size <= 1
-        # parity of the potential can zero out every other coefficient, so a
-        # single tiny term is not evidence of convergence
-        if k > 3 and small and prev_small:
+        # a tiny term is no evidence of convergence while a larger one
+        # within the n terms the recurrence reads can still feed later ones
+        run = run + 1 if small else 0
+        if k > 3 and run >= n:
             break
-        prev_small = small
     else:
         raise PrecisionUnreachableError(
             f"Taylor step did not converge in {TAYLOR_MAX_TERMS} terms: the "

@@ -3,21 +3,29 @@
 The Neumann condition at q=0 (parity '+') selects the even eigenfunctions of
 the full-line operator, the Dirichlet condition (parity '-') the odd ones.
 Eigenvalues are found by matching an outward power-series integration from
-q=0 against an inward integration carrying decaying initial data from the
-point where the WKB action reaches half of (dps+10) ln 10; the error of that
-start dies inward as e^(-2A).  One kernel does all the integration:
-`numerics._taylor_step`, a high-order Taylor recurrence on Python integers
-in fixed point, which on request also carries dpsi/dE.  The outward sweep
-counts nodes, so its steps h = min(1/4, 1/(2 sqrt E)) advance the phase by
-at most 0.5 rad; the inward sweep counts none and steps h = min(1, 6/rate),
-rate = sqrt(q^N - E), because at high precision a longer step needs fewer
-Taylor terms per unit length (Jorba & Zou, Exp. Math. 14, 2005).  The
-matching Wronskian is bracketed on a semiclassical (Bohr-Sommerfeld) grid at
-low precision, shot outward from the prediction, then polished by Newton steps
-whose precision follows the digits the last step gained, usually with one
-shoot at full precision.  Each accepted eigenvalue is certified by a
-Wronskian sign change across a relative bracket of 10^-(dps+4)/2 at full
-precision and by counting eigenfunction nodes.
+q=0 against an inward integration carrying decaying initial data.  One
+kernel does all the integration: `numerics._taylor_step`, a high-order
+Taylor recurrence on Python integers in fixed point, which on request also
+carries dpsi/dE.  A shoot `_shoot(..., dps)` computes the matching Wronskian
+W to about `dps` digits: dps + GUARD + 5 working digits, Taylor steps summed
+to 10^-(dps+GUARD), and an inward start where the WKB action reaches half of
+dps ln 10 (the error of that start dies inward as e^(-2A)).  The outward
+sweep counts nodes by the sign of psi at step ends.  In Pruefer form, psi =
+r sin(theta) and psi' = r sqrt(E) cos(theta), the phase obeys theta' <=
+sqrt(E) and rises through every node, so below the turning point E^(1/N)
+steps of min(1, 1/sqrt E) advance it by at most 1 rad < pi and still count
+every node; past the turning point the steps shorten to min(1/4, 1/(2 sqrt
+E)), which keeps the Taylor order bounded where q^N climbs.  The inward
+sweep counts none and steps h = min(1, 6/rate), rate = sqrt(q^N - E),
+because at high precision a longer step needs fewer Taylor terms per unit
+length (Jorba & Zou, Exp. Math. 14, 2005).  The Wronskian is bracketed on a
+semiclassical (Bohr-Sommerfeld) grid of 8-digit shoots, shot outward from
+the prediction, then polished by Newton steps on a ladder of shoots at the
+digits the last step earned.  The last step is a chord: one shoot at the
+certificate's precision without dpsi/dE, divided by the last ladder shoot's
+slope.  Each accepted eigenvalue is certified at dps + 10 by a Wronskian
+sign change across a relative bracket of 10^-(dps+4)/2 and by counting
+eigenfunction nodes below it.
 
 For N=1 the odd/even eigenvalues are exactly the negated zeros of Ai / Ai',
 and the solver takes that fast path: `numerics.airy_negative_zeros` marches
@@ -155,19 +163,23 @@ def _choose_qmax(N: int, E: float, qm: float, decades: float) -> float:
 
 def _shoot(N: int, E, parity: str, dps: int, slope: bool = False):
     """Integrate outward and inward, returning (normalized Wronskian at the
-    matching point, outward node count, Newton step -W/(dW/dE) or None).
+    matching point, outward node count, Newton step -W/(dW/dE) or None),
+    with W good to about `dps` digits: the arithmetic carries dps + GUARD +
+    5 digits, each Taylor step is summed to 10^-(dps+GUARD) and the inward
+    sweep starts `dps` decades deep.
 
     Positions, steps and E are integers in fixed point with P = prec + 8
     bits.  Each step first rescales the state [psi, psi'] (with `slope` also
     dpsi/dE, dpsi'/dE) by one power of two so max(|psi|, |psi' h|) has P
     bits."""
-    with working(dps, 15) as ctx:
+    with working(dps, 5) as ctx:
         P = ctx.prec + 8
         one = 1 << P
-        tol = int(mpmath.ldexp(mpf(10) ** (-(dps + GUARD + 10)), P))
+        tol = int(mpmath.ldexp(mpf(10) ** (-(dps + GUARD)), P))
         Ef = float(E)
-        qm_f = 1.2 * Ef ** (1.0 / N)
-        qmax_f = _choose_qmax(N, Ef, qm_f, dps + 10)
+        qt_f = Ef ** (1.0 / N)
+        qm_f = 1.2 * qt_f
+        qmax_f = _choose_qmax(N, Ef, qm_f, dps)
         e_fix = int(mpmath.ldexp(E, P))
 
         def advance(q, h, state):
@@ -183,16 +195,26 @@ def _shoot(N: int, E, parity: str, dps: int, slope: bool = False):
             state[:] = [v if i % 2 == 0 else (v << P) // h
                         for i, v in enumerate(sums)]
 
-        # outward sweep: oscillatory region needs the phase advance per step
-        # below ~0.5 rad so endpoint signs catch every node
-        h_osc = int(mpmath.ldexp(min(0.25, 0.5 / math.sqrt(max(Ef, 1.0))), P))
+        # outward sweep, counting nodes by the sign of psi at step ends.
+        # With psi = r sin(theta), psi' = r sqrt(E) cos(theta) the phase
+        # obeys theta' = sqrt(E) cos^2 + (E - q^N)/sqrt(E) sin^2 <= sqrt(E),
+        # and theta' > 0 where sin(theta) = 0, so a step of at most
+        # 1/sqrt(max(E, 1)) advances theta by at most 1 rad < pi and passes
+        # each node once.  Below the turning point qt the steps are that
+        # long, up to qt; from there to qm they are h_osc, short enough that
+        # the Taylor order stays bounded as q^N climbs (a step that would
+        # stop short of qt by less than h_osc takes h_osc instead)
+        root = math.sqrt(max(Ef, 1.0))
+        h_long = int(mpmath.ldexp(min(1.0, 1.0 / root), P))
+        h_osc = int(mpmath.ldexp(min(0.25, 0.5 / root), P))
+        qt = int(mpmath.ldexp(qt_f, P))
         qm = int(mpmath.ldexp(qm_f, P))
         out = ([one, 0] if parity == "+" else [0, one]) + [0, 0] * slope
         q = 0
         nodes = 0
         positive = True  # psi starts at 1, or rises from 0 with slope 1
         while q < qm:
-            h = min(h_osc, qm - q)
+            h = min(max(min(h_long, qt - q), h_osc), qm - q)
             advance(q, h, out)
             q += h
             if out[0] and (out[0] > 0) != positive:
@@ -224,27 +246,61 @@ def _shoot(N: int, E, parity: str, dps: int, slope: bool = False):
 # Decimal digits of the bracket grid shoots; Newton starts from here.
 GRID_DPS = 8
 
+# Digits beyond d to which the Newton step of a ladder shoot at d digits is
+# taken to leave the eigenvalue, when _polish decides whether the chord is
+# due.  The shoot sums its Taylor steps to 10^-(d+GUARD), and over the N <=
+# 10 levels at 30 and 50 digits its step was good to d + 4 to d + 7; the
+# chord's own test, with its 1e-6 margin, covers the rest.  A smaller value
+# adds ladder shoots where the chord would pass; a larger one wastes chord
+# shoots that miss.
+LADDER_EXCESS = 8
+
 
 def _polish(N: int, parity: str, a, b, wa, wb, dps: int):
     """Newton on the matching Wronskian from the secant of the bracket.
 
     A step of relative size 10^-got leaves an error near 10^-2got, so the
     next shoot runs at min(dps, 2 got + 4) digits (never fewer than the
-    last).  At full precision the step is final once it is below the
-    stopping size or its square is far below it.  A start that converges to
-    the wrong level is caught by the certificate in _solve_one."""
+    last).  These ladder shoots work to their own digits: one at d digits
+    vouches for at most d digits of got and leaves e good to about
+    known = min(2 got, d + LADDER_EXCESS) digits.  The last step is a
+    chord: one shoot at the certificate's dps + 10 digits without dpsi/dE,
+    whose W times the last ladder step over that shoot's W is the step.
+    Its error is about its size times the ladder step's, as a Newton
+    step's is about its square, so it is shot once 10^-(known + got) is
+    far below the stopping size, and it is final when it is below the
+    stopping size or its product with the ladder step is below that times
+    1e-6.  Otherwise Newton at dps + 10 digits, with dpsi/dE, goes on from
+    the same point, each step final on the same terms with its square.  A
+    start that converges to the wrong level is caught by the certificate in
+    _solve_one."""
     with working(dps, 15):
         e = (a * wb - b * wa) / (wb - wa)
         stop = mpf(10) ** (-(dps + 4)) / 4
+        full = dps + 10
         digits = GRID_DPS
         for _ in range(dps + 60):
-            _, _, step = _shoot(N, e, parity, digits, slope=True)
+            w, _, step = _shoot(N, e, parity, digits, slope=True)
             rel = abs(step / e)
-            if digits == dps and (rel < stop or rel ** 2 < stop * 1e-6):
-                return e + step
+            if digits == full:
+                if rel < stop or rel ** 2 < stop * 1e-6:
+                    return e + step
+                e += step
+                continue
             e += step
-            got = int(-mpmath.log10(rel)) if rel else dps
-            digits = min(dps, max(digits, 2 * got + 4))
+            got = min(int(-mpmath.log10(rel)) if rel else dps, digits)
+            if min(2 * got, digits + LADDER_EXCESS) + got <= dps + 11:
+                digits = min(dps, max(digits, 2 * got + 4))
+                continue
+            w_chord, _, _ = _shoot(N, e, parity, full)
+            chord = w_chord * step / w
+            rel_chord = abs(chord / e)
+            if rel_chord < stop or rel_chord * rel < stop * 1e-6:
+                return e + chord
+            # a chord that misses is dropped: the ladder's slope may be no
+            # guide at e (the Wronskian of a steep potential saturates a
+            # little away from the root)
+            digits = full
     raise CertificationError(
         f"Newton polish did not converge for N={N} parity={parity}")
 
@@ -292,8 +348,8 @@ def _solve_one(N: int, parity: str, j: int, dps: int, correction: float):
     e = _polish(N, parity, grid[i], grid[i + 1], vals[i], vals[i + 1], dps)
     with working(dps, 15):
         delta = mpf(10) ** (-(dps + 4)) / 4
-        w_lo, nodes, _ = _shoot(N, e * (1 - delta), parity, dps)
-        w_hi, _, _ = _shoot(N, e * (1 + delta), parity, dps)
+        w_lo, nodes, _ = _shoot(N, e * (1 - delta), parity, dps + 10)
+        w_hi, _, _ = _shoot(N, e * (1 + delta), parity, dps + 10)
     if w_lo * w_hi > 0:
         raise CertificationError(
             f"no Wronskian sign change around {mpmath.nstr(e, 20)} "

@@ -217,15 +217,16 @@ class TestHurwitzMany:
 
 def _reference_taylor_step(u, P, tol_h, starts, h2):
     """The Taylor kernel in its earlier formulation, which took a reversed
-    slice of each series per term; None where it ran out of terms (it then
-    returned the unconverged sum)."""
+    slice of each series per term, with the kernel's stop rule of n = len(u)
+    small terms in a row; None where it ran out of terms (it then returned
+    the unconverged sum)."""
     n = len(u)
     series = [list(pair) for pair in starts]
     d = series[0]
     scale = max(abs(d[0]), abs(d[1]))
     limit = tol_h * scale >> P
     k = 0
-    prev_small = False
+    run = 0
     while k <= 400:
         window = slice(k, k - n, -1) if k >= n else slice(k, None, -1)
         den = (k + 1) * (k + 2)
@@ -239,10 +240,9 @@ def _reference_taylor_step(u, P, tol_h, starts, h2):
         if size > scale:
             scale = size
             limit = tol_h * scale >> P
-        small = (k + 1) * size < limit
-        if k > 4 and small and prev_small:
+        run = run + 1 if (k + 1) * size < limit else 0
+        if k > 4 and run >= n:
             break
-        prev_small = small
     else:
         return None
     return [v for s in series
@@ -251,11 +251,12 @@ def _reference_taylor_step(u, P, tol_h, starts, h2):
 
 def _step_inputs(N, E, q, h, dps, state):
     """Kernel arguments as the shooting solver's `advance` builds them for
-    a step h from q at energy E, from state [psi, psi'] or [psi, psi',
-    dpsi/dE, dpsi'/dE] (all floats, h of either sign)."""
-    with working(dps, 15) as ctx:
+    a step h from q at energy E in a shoot at `dps` digits, from state
+    [psi, psi'] or [psi, psi', dpsi/dE, dpsi'/dE] (all floats, h of either
+    sign)."""
+    with working(dps, 5) as ctx:
         P = ctx.prec + 8
-        tol = int(mp.ldexp(mp.mpf(10) ** (-(dps + GUARD + 10)), P))
+        tol = int(mp.ldexp(mp.mpf(10) ** (-(dps + GUARD)), P))
     q, h, e_fix = (int(math.ldexp(x, P)) for x in (q, h, E))
     state = [int(math.ldexp(v, P)) for v in state]
     shift = max(abs(state[0]), abs(state[1] * h) >> P).bit_length() - P
@@ -271,19 +272,24 @@ def _step_inputs(N, E, q, h, dps, state):
 @st.composite
 def sweep_steps(draw):
     """A step of either sweep of the shooting solver: outward (h > 0)
-    from q in [0, qm] with h up to h_osc, inward (h < 0) from q in
-    [qm, qmax] with |h| up to min(1, 6/rate)."""
-    N = draw(st.integers(min_value=1, max_value=10))
+    from q in [0, qm] with h up to min(1, 1/sqrt(E), qt - q), but never
+    less than h_osc = min(1/4, 1/(2 sqrt(E))), below the turning point qt
+    and up to h_osc past it, inward (h < 0) from q in [qm, qmax] with |h|
+    up to min(1, 6/rate)."""
+    N = draw(st.integers(min_value=1, max_value=48))
     E = draw(st.floats(min_value=0.5, max_value=80))
-    dps = draw(st.sampled_from([8, 15, 30, 50]))
-    qm = 1.2 * E ** (1 / N)
+    dps = draw(st.sampled_from([8, 15, 25, 40, 60]))
+    qt = E ** (1 / N)
+    qm = 1.2 * qt
     fraction = draw(st.floats(min_value=0, max_value=1))
     shorten = draw(st.floats(min_value=1 / 64, max_value=1))
     if draw(st.booleans()):
         q = fraction * qm
-        h = shorten * min(0.25, 0.5 / math.sqrt(max(E, 1.0)))
+        root = math.sqrt(max(E, 1.0))
+        h_osc = min(0.25, 0.5 / root)
+        h = shorten * max(min(1.0 / root, qt - q), h_osc)
     else:
-        q = qm + fraction * (spectrum._choose_qmax(N, E, qm, dps + 10) - qm)
+        q = qm + fraction * (spectrum._choose_qmax(N, E, qm, dps) - qm)
         rate = math.sqrt(max(q ** N - E, 0.0))
         h = -shorten * min(1.0, 6.0 / rate if rate > 0 else 1.0)
     # a solution is never zero: (psi, psi') has some length r
@@ -301,7 +307,7 @@ class TestTaylorKernel:
     @settings(max_examples=80, deadline=None)
     def test_matches_reversed_slice_formulation(self, args):
         u, P, tol_h, starts, h2 = args
-        assert 2 <= len(u) <= 11 and abs(h2) <= 1 << P
+        assert 2 <= len(u) <= 49 and abs(h2) <= 1 << P
         ref = _reference_taylor_step(u, P, tol_h, starts, h2)
         assume(ref is not None)
         assert numerics._taylor_step(u, P, tol_h, starts, h2) == ref
@@ -311,17 +317,42 @@ class TestTaylorKernel:
         # meets the tolerance; it stops once the terms are down to the
         # floor division's residue instead of running out of terms
         u, P, tol_h, starts, h2 = _step_inputs(2, 5.0, 2.68, 2.0 ** -118,
-                                               8, [0.5, -1.5, 3.0, 1.0])
+                                               18, [0.5, -1.5, 3.0, 1.0])
         assert tol_h == 0
         out = numerics._taylor_step(u, P, tol_h, starts, h2)
         for (d0, d1), value in zip(starts, out[::2]):
             assert abs(value - d0 - d1) <= 8
 
+    @pytest.mark.parametrize("h", [0.25, 0.758])
+    def test_steep_first_outward_step_against_exact_series(self, h):
+        # the first outward step of N = 32 near its lowest '+' level, in a
+        # 15-digit certificate shoot: at q0 = 0 the potential is u = [u_0,
+        # 0, ..., 0, u_32], so each q^32 contribution enters 32 terms after
+        # its source and the sum must not stop on the small terms between
+        N, E, dps = 32, 1.7435, 25
+        u, P, tol_h, starts, h2 = _step_inputs(N, E, 0.0, h, dps, [1.0, 0.0])
+        psi, hdpsi = numerics._taylor_step(u, P, tol_h, starts, h2)
+        with mp.workdps(80):
+            # c_(k+2) (k+1)(k+2) = -E c_k + c_(k-32), with psi(0) = 1,
+            # psi'(0) = 0; E and h are the doubles the kernel was given
+            c = [mp.mpf(1), mp.mpf(0)]
+            for k in range(400):
+                c.append((c[k - N] if k >= N else 0) - E * c[k])
+                c[-1] /= (k + 1) * (k + 2)
+            terms = [ck * mp.mpf(h) ** k for k, ck in enumerate(c)]
+            assert abs(terms[-1]) < mp.mpf(10) ** -60
+            exact = (mp.fsum(terms),
+                     mp.fsum(k * t for k, t in enumerate(terms)))
+            d0 = starts[0][0]
+            for got, want in zip((psi, hdpsi), exact):
+                assert abs(mp.mpf(got) / d0 - want) < \
+                    mp.mpf(10) ** -(dps + GUARD)
+
     def test_step_too_long_raises(self):
         # q^10 - E is near 6e4 at q = 3, so the terms of a unit step grow
         # until k is near sqrt(6e4) = 245 and need about e times that to
         # fall back below the tolerance
-        args = _step_inputs(10, 1.0, 3.0, 1.0, 15, [1.0, 0.0])
+        args = _step_inputs(10, 1.0, 3.0, 1.0, 25, [1.0, 0.0])
         with pytest.raises(PrecisionUnreachableError,
                            match="did not converge"):
             numerics._taylor_step(*args)

@@ -7,8 +7,10 @@ import os
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from osczeta import spectrum
+from osczeta import numerics, spectrum
 from osczeta.errors import CertificationError
 from osczeta.spectrum import (
     SpectrumRecord,
@@ -175,6 +177,34 @@ class TestSolverConsistency:
             eigenvalues(3, "+", 0)
 
 
+def _reference_nodes(N, E, parity, longest=0.05, dps=15):
+    """Nodes of the outward solution of psi'' = (q^N - E) psi on (0, qm],
+    qm = 1.2 E^(1/N) as in the solver, counted by the sign of psi at the
+    ends of equal Taylor-kernel steps no longer than `longest`."""
+    with mp.workdps(dps + 15):
+        P = mp.mp.prec + 8
+        tol = int(mp.ldexp(mp.mpf(10) ** -dps, P))
+    qm = int(math.ldexp(1.2 * E ** (1.0 / N), P))
+    e_fix = int(math.ldexp(E, P))
+    count = math.ceil(math.ldexp(qm, -P) / longest)
+    state = [1 << P, 0] if parity == "+" else [0, 1 << P]
+    nodes, positive = 0, True
+    for i in range(count):
+        q, h = qm * i // count, qm * (i + 1) // count - qm * i // count
+        shift = max(abs(state[0]), abs(state[1] * h) >> P).bit_length() - P
+        state = [v >> shift if shift > 0 else v << -shift for v in state]
+        u = [math.comb(N, j) * q ** (N - j) * h ** (j + 2) >> (N + 1) * P
+             for j in range(N + 1)]
+        u[0] -= e_fix * h * h >> 2 * P
+        psi, hdpsi = numerics._taylor_step(
+            u, P, tol * h >> P, [(state[0], state[1] * h >> P)], h * h >> P)
+        state = [psi, (hdpsi << P) // h]
+        if psi and (psi > 0) != positive:
+            nodes += 1
+            positive = not positive
+    return nodes
+
+
 class TestSolverRegression:
     @pytest.mark.parametrize("key", sorted(SNAPSHOT))
     def test_bit_identical_to_snapshot(self, key):
@@ -197,9 +227,10 @@ class TestSolverRegression:
         assert len(calls) <= 12
 
     def test_taylor_steps_per_eigenvalue(self, monkeypatch):
-        # Taylor steps of one 30-digit level: the inward sweep steps
-        # min(1, 6/rate) through the forbidden region, which needs no node
-        # count; 133 steps in all
+        # Taylor steps of one 30-digit level: the outward sweep steps
+        # min(1, 1/sqrt(E)) up to the turning point, the inward sweep
+        # min(1, 6/rate) through the forbidden region, and the ladder and
+        # grid shoots work to their own digits; 84 steps in all
         calls = []
         step = spectrum._taylor_step
 
@@ -209,16 +240,57 @@ class TestSolverRegression:
 
         monkeypatch.setattr(spectrum, "_taylor_step", counting)
         eigenvalues(3, "+", 1, 30)
-        assert len(calls) <= 160
+        assert len(calls) <= 100
 
-    def test_sliver_final_outward_step(self):
-        # at E = 5, qm / h_osc = 2.4 E is whole for N = 2, so the outward
-        # sweep ends in a step a few units of 2^-P long, which the Taylor
-        # kernel must finish without running out of terms
-        w, nodes, _ = spectrum._shoot(2, mp.mpf(5), "+", 8)
-        assert nodes == 1 and abs(w) < 1e-15
+    def test_sliver_final_outward_step(self, monkeypatch):
+        # for N = 2 the long steps 1/sqrt(E) reach qt = sqrt(E) after E of
+        # them, and h_osc = 1/(2 sqrt(E)) divides qm - qt = 0.2 sqrt(E)
+        # 0.4 E times; at E = 5 and 15 both are whole, and the outward sweep
+        # ends in a sliver, a step as long as the rounding of qm (near
+        # 1e-16), which the Taylor kernel must finish without running out
+        # of terms
+        slivers = []
+        step = spectrum._taylor_step
+
+        def recording(u, P, tol_h, starts, h2):
+            # h2 = h^2 in fixed point 2^-P: h < 2^-40
+            slivers.append(h2 < 1 << (P - 80))
+            return step(u, P, tol_h, starts, h2)
+
+        monkeypatch.setattr(spectrum, "_taylor_step", recording)
+        for E, parity, count in ((5, "+", 1), (15, "-", 3)):
+            slivers.clear()
+            w, nodes, _ = spectrum._shoot(2, mp.mpf(E), parity, 18)
+            assert any(slivers)
+            assert nodes == count and abs(w) < 1e-15
 
     def test_one_full_precision_newton_shoot_per_level(self, monkeypatch):
+        # per level: one chord shoot at the certificate's dps + 10 digits,
+        # which carries no dpsi/dE, and the two certificate shoots
+        levels = []
+        shoot, solve = spectrum._shoot, spectrum._solve_one
+
+        def counting(N, E, parity, dps, slope=False):
+            levels[-1].append((dps, slope))
+            return shoot(N, E, parity, dps, slope=slope)
+
+        def level(*args):
+            levels.append([])
+            return solve(*args)
+
+        monkeypatch.setattr(spectrum, "_shoot", counting)
+        monkeypatch.setattr(spectrum, "_solve_one", level)
+        eigenvalues(3, "+", 4, 30)
+        assert len(levels) == 4
+        for calls in levels:
+            full = [slope for dps, slope in calls if dps == 40]
+            assert 2 <= len(full) <= 3 and not any(full)
+
+    def test_failed_chord_falls_back_to_newton(self, monkeypatch):
+        # a chord shot too early (here after the 16-digit ladder shoot of
+        # level 0, which leaves 21 digits) misses its test; Newton at full
+        # precision goes on from the same point to the same eigenvalue
+        ref = eigenvalues(2, "+", 1, 30)
         calls = []
         shoot = spectrum._shoot
 
@@ -226,9 +298,21 @@ class TestSolverRegression:
             calls.append((dps, slope))
             return shoot(N, E, parity, dps, slope=slope)
 
+        monkeypatch.setattr(spectrum, "LADDER_EXCESS", 100)
         monkeypatch.setattr(spectrum, "_shoot", counting)
-        eigenvalues(3, "+", 4, 30)
-        assert calls.count((30, True)) <= 4
+        rec = eigenvalues(2, "+", 1, 30)
+        assert rec.eigenvalues == ref.eigenvalues
+        assert (40, True) in calls[calls.index((40, False)):]
+
+    @given(N=st.integers(min_value=2, max_value=48),
+           E=st.floats(min_value=0.5, max_value=200),
+           parity=st.sampled_from(spectrum.PARITIES))
+    @settings(max_examples=40, deadline=None)
+    def test_outward_node_count(self, N, E, parity):
+        # the outward sweep's long steps below the turning point count the
+        # same nodes as steps of at most 0.05
+        _, nodes, _ = spectrum._shoot(N, mp.mpf(E), parity, 8)
+        assert nodes == _reference_nodes(N, E, parity)
 
     @pytest.mark.parametrize("N,parity,pair", [
         (2, "+", "spectra2"), (3, "-", "spectra3"), (6, "+", "spectra6")])
