@@ -15,10 +15,10 @@ import sys
 import mpmath as mp
 
 from . import closedforms as cforms
-from .errors import EliminationError, OsczetaError
+from .errors import OsczetaError
 from .precision import DEFAULT_DPS
 from .spectrum import eigenvalues
-from .sumrules import (autonomous_full_identity, classify_lhs,
+from .sumrules import (autonomous_full_identities, classify_lhs,
                        derive_sum_rules, symmetry_order)
 from .verify import compute_spectra, em_zeta_table, run_battery, spectral_dps
 
@@ -149,17 +149,9 @@ def cmd_derive(cfg: RunConfig) -> int:
     chunks = []
     for N in cfg.n_list:
         idents = derive_sum_rules(N, cfg.n_max)
-        # full-order identities restated with the lower orders eliminated,
-        # so both sides involve only full zeta values; a restatement whose
-        # twisted values cannot all be eliminated (N=2, where ZP(1) = pi/4
-        # is a constant) is left out
-        L = symmetry_order(N)
-        autonomous = []
-        for n in range(L, cfg.n_max + 1, L):
-            try:
-                autonomous.append(autonomous_full_identity(N, n, idents))
-            except EliminationError:
-                pass
+        # full-order identities restated in full zeta values only, all from
+        # one pass that folds the twisted values away
+        autonomous = autonomous_full_identities(N, cfg.n_max)
         if cfg.fmt == "json":
             chunk = [i.to_json_dict() for i in idents]
             for ident in autonomous:

@@ -305,11 +305,6 @@ _FAMILIES = {
 }
 
 
-def closed_form_names():
-    """All acceptable identifiers (family names take a '.<order>' suffix)."""
-    return sorted(_SCALARS) + sorted(f + ".<n>" for f in _FAMILIES)
-
-
 def closed_form_eval(identifier: str, N: int = None, dps: int = DEFAULT_DPS):
     """Evaluate a cataloged closed form at the requested precision."""
     if identifier in _SCALARS:

@@ -242,9 +242,12 @@ class CycloNumber:
     def inverse(self) -> "CycloNumber":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        # 1/x = (product of the other Galois conjugates of x) / norm(x)
+        # 1/x = (product of the other Galois conjugates of x) / norm(x); a
+        # real x is fixed by k -> -k, so conjugates by k < m/2 give its
+        # (rational) norm over the real subfield
         rest = CycloNumber.from_rational(1, self.m)
-        for k in range(2, self.m):
+        top = self.m // 2 + 1 if self == self.conjugate() else self.m
+        for k in range(2, top):
             if math.gcd(k, self.m) == 1:
                 rest = rest * self._galois(k)
         return rest * (1 / (self * rest).rational_value())

@@ -49,5 +49,9 @@ class NotAMultipleError(OsczetaError, ValueError):
     """Order is not a multiple of the symmetry period."""
 
 
+class DerivationTooLargeError(OsczetaError, ValueError):
+    """Degree or order past the limits of the exact sum-rule derivation."""
+
+
 class EliminationError(OsczetaError):
     """Symbols survive an elimination that should have removed them."""

@@ -18,7 +18,6 @@ the zeros' march, run to t = -x.
 
 from __future__ import annotations
 
-import enum
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -334,12 +333,6 @@ def alternating_hurwitz(s, a):
 # Integer sequences (exact)
 # --------------------------------------------------------------------------
 
-class IntegerSequenceKind(enum.Enum):
-    BERNOULLI = "bernoulli"
-    EULER = "euler"
-    GENOCCHI = "genocchi"
-
-
 @lru_cache(maxsize=None)
 def bernoulli_number(n: int) -> Fraction:
     """Exact Bernoulli number B_n (B_1 = -1/2 convention)."""
@@ -377,17 +370,6 @@ def genocchi_number(n: int) -> int:
     g = 2 * (1 - Fraction(2) ** n) * bernoulli_number(n)
     assert g.denominator == 1
     return int(g)
-
-
-def integer_sequence(kind: IntegerSequenceKind, index: int):
-    """Exact value of the named sequence at the given (even) index."""
-    if kind is IntegerSequenceKind.BERNOULLI:
-        return bernoulli_number(index)
-    if kind is IntegerSequenceKind.EULER:
-        return euler_number(index)
-    if kind is IntegerSequenceKind.GENOCCHI:
-        return genocchi_number(index)
-    raise ValueError(f"unknown sequence kind {kind!r}")
 
 
 # --------------------------------------------------------------------------

@@ -21,9 +21,12 @@ One loop over n does the derivation on one series, the log coefficients A_k
 of D+(l) D-(w l), whose exp coefficients follow from
 n E_n = sum_{k=1}^{n} k A_k E_{n-k}.  The other product D+(w l) D-(l) is the
 first with its coefficients conjugated (zeta -> 1/zeta) and l -> w l, so its
-order-n coefficient is w^n conj(E_n).  Once order n is solved for Z(n), that
-real value goes into A_n (and so into E_n) before order n+1 starts: every
-later order is born in the twisted basis and no rhs is substituted.
+order-n coefficient is w^n conj(E_n).  Once order n is solved, that real
+value goes into A_n (and so into E_n) before order n+1 starts, so no rhs is
+substituted.  Two passes differ only in what they solve for.  The twisted
+pass (derive_sum_rules) solves for Z(n), leaving twisted values on the right.
+The full pass solves for ZP(n), or for Z(n) at the orders kL where ZP(n)
+drops out, leaving full values; its order kL is the full-value restatement.
 """
 
 from __future__ import annotations
@@ -32,10 +35,15 @@ import dataclasses
 from fractions import Fraction
 
 from .cyclo import CycloNumber, cos_pi_frac, rational
-from .errors import EliminationError, NotAMultipleError
+from .errors import (DerivationTooLargeError, EliminationError,
+                     NotAMultipleError)
 from .sympoly import SymPoly, ZKind, ZSymbol, _mul_into
 
 CLASSIFICATIONS = ("Zprime0", "Zfull", "Ztwisted", "Zplus", "Zminus", "generic")
+
+#: largest degree and order a derivation takes: past them it runs for minutes
+#: (at N = 400 the cyclotomic inverses alone take seconds per order)
+MAX_DEGREE, MAX_ORDER = 200, 32
 
 
 def symmetry_order(N: int) -> int:
@@ -102,13 +110,23 @@ class SumRuleIdentity:
 
 
 def derive_sum_rules(N: int, n_max: int):
-    """Derive the identities of order 0..n_max for degree N."""
+    """Derive the identities of order 0..n_max for degree N, each rhs in
+    twisted values (the twisted pass)."""
+    return _derive(N, n_max, ZKind.ZTWISTED)
+
+
+def _derive(N: int, n_max: int, basis: ZKind):
+    """The identities of order 0..n_max with each rhs in `basis`: ZTWISTED
+    folds each solved Z(n) into A_n, ZFULL folds each solved ZP(n) instead,
+    or Z(n) where ZP(n) drops out."""
     if N < 1 or n_max < 0:
         raise ValueError("need N >= 1, n_max >= 0")
+    if N > MAX_DEGREE or n_max > MAX_ORDER:
+        raise DerivationTooLargeError(f"need N <= {MAX_DEGREE}, n_max <= "
+                                      f"{MAX_ORDER} (got {N}, {n_max})")
     m = 2 * (N + 2)
     zeta = CycloNumber.zeta(m, 1)          # e^{i nu pi}
-    zeta_inv = zeta.conjugate()
-    inv_two_i_sin = (zeta - zeta_inv).inverse()    # 1 / (2i sin(nu pi))
+    inv_two_i_sin = (zeta - zeta.conjugate()).inverse()  # 1/(2i sin(nu pi))
 
     out = [SumRuleIdentity(
         N, 0, SymPoly.symbol(ZSymbol(ZKind.ZPLUS_PRIME0, 0))
@@ -116,7 +134,7 @@ def derive_sum_rules(N: int, n_max: int):
         SymPoly.zero(), "Zprime0", exp_rhs=cos_pi_frac(N, 2 * (N + 2)))]
 
     # log and exp coefficients A_k, E_k of D+(l) D-(w l), with each solved
-    # Z(m) already replaced by its twisted-basis value
+    # value already folded in
     log, exp = [None], [SymPoly.constant(1)]
     # right-hand side (divided by exp(-Z'(0)), i.e. times sin(nu pi)):
     # 2i sin(nu pi) times 1 in general, times e^{-i pi l/4} = exp(-i ZP(1) l)
@@ -129,11 +147,11 @@ def derive_sum_rules(N: int, n_max: int):
     for n in range(1, n_max + 1):
         # the order-n log coefficient is c_n (Z+(n) + w^n Z-(n)),
         # c_n = (-1)^(n+1)/n, i.e. c_n ((1 + w^n)/2 Z(n) + (1 - w^n)/2 ZP(n))
-        w_n = zeta ** (4 * n)              # w = e^{4 i nu pi}
+        w_n = CycloNumber.zeta(m, 4 * n)   # w = e^{4 i nu pi}
         half_c = Fraction((-1) ** (n + 1), 2 * n)
         full, tw = ZSymbol(ZKind.ZFULL, n), ZSymbol(ZKind.ZTWISTED, n)
-        log_full, log_tw = (w_n + 1) * half_c, (1 - w_n) * half_c
-        log.append(SymPoly({((full, 1),): log_full, ((tw, 1),): log_tw}))
+        log_coeff = {full: (w_n + 1) * half_c, tw: (1 - w_n) * half_c}
+        log.append(SymPoly({((s, 1),): c for s, c in log_coeff.items()}))
         # n E_n = sum_k k A_k E_{n-k}; the k = n term A_n is added below
         lower = {}
         for k in range(1, n):
@@ -143,10 +161,10 @@ def derive_sum_rules(N: int, n_max: int):
         rhs_n = (rhs_n * rhs_step).scaled(Fraction(1, n))
 
         # D+(w l) D-(l) has order-n coefficient w^n conj(E_n), conj being
-        # zeta -> 1/zeta (the symbols and the folded Z(m) are real), so the
-        # normalized identity is Y + conj Y = (-1)^(n+1) n zeta^(-2n) rhs_n
-        # with Y = (-1)^(n+1) n zeta^(1-2n) E_n / (2i sin(nu pi))
-        rhs_scale = rational((-1) ** (n + 1) * n) * zeta_inv ** (2 * n)
+        # zeta -> 1/zeta (the symbols and the folded values are real), so
+        # the normalized identity is Y + conj Y = (-1)^(n+1) n zeta^(-2n)
+        # rhs_n with Y = (-1)^(n+1) n zeta^(1-2n) E_n / (2i sin(nu pi))
+        rhs_scale = rational((-1) ** (n + 1) * n) * CycloNumber.zeta(m, -2 * n)
         y = (lower + log[n]).scaled(rhs_scale * zeta * inv_two_i_sin)
         raw = SymPoly({mo: c + c.conjugate() for mo, c in y.terms.items()}) \
             - rhs_n.scaled(rhs_scale)
@@ -159,20 +177,20 @@ def derive_sum_rules(N: int, n_max: int):
 
         degenerate = lhs.is_zero() and rhs.is_zero()
         leftover = [s for s in rhs.symbols() if s.kind is ZKind.ZFULL]
-        if leftover:
+        if leftover and basis is ZKind.ZTWISTED:
             raise AssertionError(
                 f"unreduced full symbols {leftover} at N={N}, n={n}")
         if not rhs.is_homogeneous(n):
             raise AssertionError(f"inhomogeneous rhs at N={N}, n={n}")
-        c_full = lhs.terms.get(((full, 1),))
-        if c_full is not None and not c_full.is_zero():
-            # Z(n) = (rhs - c_tw * ZP(n)) / c_full, put into A_n
-            expr = rhs
-            c_tw = lhs.terms.get(((tw, 1),))
-            if c_tw is not None:
-                expr = expr - SymPoly.symbol(tw, c_tw)
-            log[n] = expr.scaled(c_full.inverse() * log_full) \
-                + SymPoly.symbol(tw, log_tw)
+        # solve for the first of these the identity carries, sym =
+        # (rhs - (lhs - c sym)) / c, and put that value into A_n
+        for sym in (full,) if basis is ZKind.ZTWISTED else (tw, full):
+            c = lhs.terms.get(((sym, 1),))
+            if c is not None:
+                value = rhs - (lhs - SymPoly.symbol(sym, c))
+                log[n] = log[n] - SymPoly.symbol(sym, log_coeff[sym]) \
+                    + value.scaled(c.inverse() * log_coeff[sym])
+                break
         out.append(SumRuleIdentity(N, n, lhs, rhs, classify_lhs(N, n),
                                    degenerate=degenerate))
         exp.append(lower + log[n])
@@ -215,62 +233,38 @@ def _basis_to_plusminus(poly: SymPoly) -> SymPoly:
     return poly.substitute(mapping)
 
 
-def _basis_to_fulltwisted(poly: SymPoly) -> SymPoly:
-    """Rewrite Z+/Z- symbols as (Zfull +- Ztwisted)/2."""
-    mapping = {}
-    for sym in poly.symbols():
-        F = SymPoly.symbol(ZSymbol(ZKind.ZFULL, sym.order), Fraction(1, 2))
-        T = SymPoly.symbol(ZSymbol(ZKind.ZTWISTED, sym.order), Fraction(1, 2))
-        if sym.kind is ZKind.ZPLUS:
-            mapping[sym] = F + T
-        elif sym.kind is ZKind.ZMINUS:
-            mapping[sym] = F - T
-    return poly.substitute(mapping)
-
-
-def convert_basis(identity: SumRuleIdentity, target: str) -> SumRuleIdentity:
-    """Rewrite both sides in the 'plusminus' or 'fulltwisted' basis."""
-    if target not in ("plusminus", "fulltwisted"):
-        raise ValueError("target must be 'plusminus' or 'fulltwisted'")
-    conv = _basis_to_plusminus if target == "plusminus" else _basis_to_fulltwisted
-    return dataclasses.replace(identity, lhs=conv(identity.lhs),
-                               rhs=conv(identity.rhs))
-
-
-def autonomous_full_identity(N: int, n: int, rules=None) -> SumRuleIdentity:
-    """The order-n identity (n a positive multiple of L_N) eliminated to
-    contain full zeta values only on both sides.  `rules` may pass in
-    derive_sum_rules(N, M) for any M >= n: its first n+1 entries are
-    derive_sum_rules(N, n)."""
+def autonomous_full_identity(N: int, n: int) -> SumRuleIdentity:
+    """The order-n identity (n a positive multiple of L_N) with full zeta
+    values only on both sides: order n of the full pass, solved for Z(n)."""
     L = symmetry_order(N)
     if n <= 0 or n % L:
         raise NotAMultipleError(f"n={n} is not a positive multiple of L={L}")
-    if rules is None:
-        rules = derive_sum_rules(N, n)
-    elif len(rules) <= n or rules[0].N != N:
-        raise ValueError(f"rules do not reach order {n} of degree {N}")
-    # build Ztwisted(m) -> polynomial in Zfull(<= m), walking upward
-    tw_sub = {}
-    for ident in rules[1:n]:
-        if ident.degenerate:
-            continue
-        m_ord = ident.order
-        c_tw = ident.lhs.terms.get(((ZSymbol(ZKind.ZTWISTED, m_ord), 1),))
-        if c_tw is None or c_tw.is_zero():
-            continue  # identity fixes Zfull(m) instead; Ztw(m) must cancel
-        c_full = ident.lhs.terms.get(((ZSymbol(ZKind.ZFULL, m_ord), 1),))
-        expr = ident.rhs.substitute(tw_sub)
-        if c_full is not None and not c_full.is_zero():
-            expr = expr - SymPoly.symbol(ZSymbol(ZKind.ZFULL, m_ord), c_full)
-        tw_sub[ZSymbol(ZKind.ZTWISTED, m_ord)] = expr.scaled(c_tw.inverse())
-    target = rules[n]
-    sym, rhs = solved_form(target)
-    rhs = rhs.substitute(tw_sub)
+    return _restated(_derive(N, n, ZKind.ZFULL)[n])
+
+
+def autonomous_full_identities(N: int, n_max: int) -> list:
+    """The restatements at every multiple of L_N up to n_max, from one full
+    pass; one whose twisted values survive (N=2, where ZP(1) = pi/4 is a
+    constant) is left out."""
+    L = symmetry_order(N)
+    if n_max < L:
+        return []
+    out = []
+    for ident in _derive(N, n_max - n_max % L, ZKind.ZFULL)[L::L]:
+        try:
+            out.append(_restated(ident))
+        except EliminationError:
+            pass
+    return out
+
+
+def _restated(ident: SumRuleIdentity) -> SumRuleIdentity:
+    """A full-pass identity of order kL solved for Z(kL); a twisted value
+    that nothing fixes (ZP(1) = pi/4 for N=2) raises EliminationError."""
+    sym, rhs = solved_form(ident)
     bad = sorted((s for s in rhs.symbols() if s.kind is not ZKind.ZFULL),
                  key=ZSymbol.sort_key)
     if bad:
-        raise EliminationError(
-            f"N={N} n={n}: twisted symbols {bad} survived elimination")
-    if not rhs.is_homogeneous(n):
-        raise AssertionError("elimination broke homogeneity")
-    return SumRuleIdentity(N, n, sym, rhs, "Zfull")
+        raise EliminationError(f"N={ident.N} n={ident.order}: twisted "
+                               f"symbols {bad} survived elimination")
+    return SumRuleIdentity(ident.N, ident.order, sym, rhs, "Zfull")

@@ -178,9 +178,6 @@ class SymPoly:
     def is_homogeneous(self, weight: int) -> bool:
         return all(_mono_weight(m) == weight for m in self.terms)
 
-    def max_weight(self) -> int:
-        return max((_mono_weight(m) for m in self.terms), default=0)
-
     # -- arithmetic ----------------------------------------------------------
 
     @staticmethod

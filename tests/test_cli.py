@@ -10,6 +10,7 @@ import time
 import pytest
 
 from osczeta import cli, sumrules, verify
+from osczeta.sympoly import ZKind
 
 # `osczeta derive --N <N> --nmax 9` stdout per degree, recorded with the
 # earlier Z+/Z- series-product derivation
@@ -169,6 +170,33 @@ class TestDeriveWork:
         assert run(["derive", "--N", "1,3,6", "--nmax", "9"]) == 0
         assert "full-value basis" in capsys.readouterr().out
         assert calls == [(1, 9), (3, 9), (6, 9)]
+
+    def test_one_full_pass_per_degree(self, monkeypatch, capsys):
+        # all restatements of a degree come from one full pass, up to the
+        # largest multiple of L <= nmax, and none runs when nmax < L
+        passes = []
+        original = sumrules._derive
+
+        def counting(N, n_max, basis):
+            passes.append((N, n_max, basis))
+            return original(N, n_max, basis)
+
+        monkeypatch.setattr(sumrules, "_derive", counting)
+        assert run(["derive", "--N", "1,2,3,6", "--nmax", "9"]) == 0
+        assert run(["derive", "--N", "3", "--nmax", "4"]) == 0
+        assert "full-value basis" in capsys.readouterr().out
+        assert [(N, n) for N, n, basis in passes
+                if basis is ZKind.ZFULL] == [(1, 9), (2, 8), (3, 5), (6, 8)]
+
+    @pytest.mark.parametrize("argv", [["--N", "100000", "--nmax", "3"],
+                                      ["--N", "3", "--nmax", "200"]])
+    def test_huge_derivation_fails_fast(self, argv, capsys):
+        start = time.monotonic()
+        assert run(["derive", *argv]) == 2
+        assert time.monotonic() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "DerivationTooLargeError" in captured.err
 
     @pytest.mark.parametrize("nmax", [2, 4])
     def test_harmonic_restatements_are_skipped(self, nmax, capsys):

@@ -119,11 +119,6 @@ class TestCrossChecks:
 
 
 class TestCatalog:
-    def test_names_cover_scalars_and_families(self):
-        names = cf.closed_form_names()
-        assert "RO" in names and "ZN2" in names
-        assert any(n.startswith("Z2.genocchi") for n in names)
-
     def test_unknown_identifier(self):
         with pytest.raises(UnknownIdentifierError):
             cf.closed_form_eval("Z9.nonsense", None, 30)

@@ -21,7 +21,6 @@ from osczeta.errors import (
     TailBoundError,
 )
 from osczeta.numerics import (
-    IntegerSequenceKind,
     airy_eval,
     airy_negative_zeros,
     airy_taylor_coefficient,
@@ -32,7 +31,6 @@ from osczeta.numerics import (
     gamma,
     hurwitz_many,
     hyper_4f3,
-    integer_sequence,
 )
 from osczeta.precision import GUARD, working
 
@@ -94,11 +92,6 @@ class TestIntegerSequences:
         # G_n = 2 (1 - 2^n) B_n
         for n in range(2, 16, 2):
             assert genocchi_number(n) == 2 * (1 - 2 ** n) * bernoulli_number(n)
-
-    def test_dispatch(self):
-        assert integer_sequence(IntegerSequenceKind.GENOCCHI, 6) == \
-            genocchi_number(6)
-        assert integer_sequence(IntegerSequenceKind.EULER, 4) == 5
 
 
 def _alternating_partial_sum(s, a, digits):

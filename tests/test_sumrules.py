@@ -24,11 +24,11 @@ from osczeta.cyclo import (
     sqrt5,
     two_i_sin_pi_frac,
 )
-from osczeta.errors import EliminationError, NotAMultipleError
+from osczeta.errors import (DerivationTooLargeError, EliminationError,
+                            NotAMultipleError)
 from osczeta.sumrules import (
     autonomous_full_identity,
     classify_lhs,
-    convert_basis,
     derive_sum_rules,
     solved_form,
     symmetry_order,
@@ -337,18 +337,6 @@ class TestDerivationReuse:
             assert [i.to_text() for i in short] == \
                 [i.to_text() for i in full[:n + 1]]
 
-    @pytest.mark.parametrize("N, n", [(1, 6), (3, 5), (4, 6), (6, 8)])
-    def test_elimination_accepts_derived_rules(self, N, n):
-        given = autonomous_full_identity(N, n, rules(N))
-        assert given == autonomous_full_identity(N, n)
-        assert given.to_text() == autonomous_full_identity(N, n).to_text()
-
-    def test_elimination_rejects_short_or_foreign_rules(self):
-        with pytest.raises(ValueError):
-            autonomous_full_identity(3, 5, rules(3, 4))
-        with pytest.raises(ValueError):
-            autonomous_full_identity(3, 5, rules(4))
-
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_harmonic_elimination_names_survivors(self, n):
         # ZP(1) = pi/4 is a constant: the degenerate order-1 identity
@@ -382,6 +370,39 @@ class TestDerivationWork:
         monkeypatch.setattr(sumrules, "_mul_into", counting)
         derive_sum_rules(N, n_max)
         assert len(calls) == n_max * (n_max - 1) // 2
+
+    @pytest.mark.parametrize("N", range(1, 11))
+    def test_restatement_is_one_full_pass(self, N, monkeypatch):
+        # order n of the full pass, solved for Z(n), is the restatement: the
+        # same n - 1 products per order as the derivation, and no rhs
+        # rewritten afterwards
+        def refuse(self, mapping):
+            raise AssertionError("autonomous_full_identity called substitute")
+
+        calls = []
+        original = sumrules._mul_into
+
+        def counting(*args):
+            calls.append(None)
+            return original(*args)
+
+        monkeypatch.setattr(SymPoly, "substitute", refuse)
+        monkeypatch.setattr(sumrules, "_mul_into", counting)
+        L = symmetry_order(N)
+        for n in range(L, 13, L):
+            calls.clear()
+            if N == 2:
+                with pytest.raises(EliminationError, match=r"ZP\(1\)"):
+                    autonomous_full_identity(N, n)
+            else:
+                assert autonomous_full_identity(N, n).order == n
+            assert len(calls) == n * (n - 1) // 2
+
+    @pytest.mark.parametrize("N, n_max", [(201, 1), (3, 33), (100000, 3)])
+    def test_huge_inputs_are_refused(self, N, n_max):
+        with pytest.raises(DerivationTooLargeError):
+            derive_sum_rules(N, n_max)
+        assert issubclass(DerivationTooLargeError, ValueError)
 
     @pytest.mark.parametrize("N", range(1, 11))
     def test_coefficients_are_real(self, N):
@@ -439,16 +460,6 @@ class TestHarmonicReduction:
 
 
 class TestSerialization:
-    def test_convert_basis_round_trip(self):
-        ident = rules(3)[3]
-        back = convert_basis(convert_basis(ident, "plusminus"), "fulltwisted")
-        assert back.lhs == ident.lhs
-        assert back.rhs == ident.rhs
-
-    def test_convert_basis_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            convert_basis(rules(3)[2], "spherical")
-
     def test_text_and_json_are_stable(self):
         a = derive_sum_rules(6, 4)
         b = derive_sum_rules(6, 4)
