@@ -2,7 +2,8 @@
 sum rules, run the verification battery, and render classification tables.
 
 Exit codes: 0 all requested work succeeded (and all checks passed for
-`verify`), 1 verification failures, 2 configuration or computation errors.
+`verify`), 1 verification failures, 2 configuration, computation or output
+errors.
 """
 
 from __future__ import annotations
@@ -138,9 +139,13 @@ def cmd_zeta(cfg: RunConfig) -> int:
                          f"{d['method']},{d['certified_digits']}")
         _emit(cfg, "\n".join(lines))
     else:
-        lines = [f"N={r.N} {r.kind:8s} n={int(r.order)}  "
-                 f"{mp.nstr(r.value, min(cfg.digits, 25)):30s} "
-                 f"[{r.certified_digits} digits]" for r in rows]
+        lines = []
+        for r in rows:
+            # the digits the certificate backs, at most 25
+            value = mp.nstr(r.value, min(r.certified_digits, 25),
+                            strip_zeros=False)
+            lines.append(f"N={r.N} {r.kind:8s} n={int(r.order)}  "
+                         f"{value:30s} [{r.certified_digits} digits]")
         _emit(cfg, "\n".join(lines))
     return 0
 
@@ -266,7 +271,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return command(cfg)
-    except (OsczetaError, ValueError) as exc:
+    except (OsczetaError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -204,33 +204,20 @@ def solved_form(identity: SumRuleIdentity):
     if cls in ("generic", "Zprime0") or identity.degenerate:
         raise ValueError(f"no single-value form for {cls}")
     n = identity.order
-    lhs, rhs = identity.lhs, identity.rhs
-    if cls in ("Zplus", "Zminus"):
-        # rhs stays in twisted symbols; only lhs changes basis
-        lhs = _basis_to_plusminus(lhs)
-        kind = ZKind.ZPLUS if cls == "Zplus" else ZKind.ZMINUS
-    else:
-        kind = ZKind.ZFULL if cls == "Zfull" else ZKind.ZTWISTED
+    # the lhs c Z(n) + d ZP(n) is (c + d) Z+(n) + (c - d) Z-(n)
+    terms = dict(identity.lhs.terms)
+    c, d = (terms.pop(((ZSymbol(k, n), 1),), rational(0))
+            for k in (ZKind.ZFULL, ZKind.ZTWISTED))
+    kind, coeff, other = {"Zfull": (ZKind.ZFULL, c, d),
+                          "Ztwisted": (ZKind.ZTWISTED, d, c),
+                          "Zplus": (ZKind.ZPLUS, c + d, c - d),
+                          "Zminus": (ZKind.ZMINUS, c - d, c + d)}[cls]
     sym = ZSymbol(kind, n)
-    coeff = lhs.terms.get(((sym, 1),))
-    if coeff is None or coeff.is_zero():
+    if coeff.is_zero():
         raise AssertionError(f"expected {sym!r} in lhs")
-    rest = lhs - SymPoly.symbol(sym, coeff)
-    if not rest.is_zero():
+    if terms or not other.is_zero():
         raise AssertionError(f"lhs not proportional to {sym!r}")
-    return SymPoly.symbol(sym), rhs.scaled(coeff.inverse())
-
-
-def _basis_to_plusminus(poly: SymPoly) -> SymPoly:
-    mapping = {}
-    for sym in poly.symbols():
-        if sym.kind is ZKind.ZFULL:
-            mapping[sym] = SymPoly.symbol(ZSymbol(ZKind.ZPLUS, sym.order)) \
-                + SymPoly.symbol(ZSymbol(ZKind.ZMINUS, sym.order))
-        elif sym.kind is ZKind.ZTWISTED:
-            mapping[sym] = SymPoly.symbol(ZSymbol(ZKind.ZPLUS, sym.order)) \
-                - SymPoly.symbol(ZSymbol(ZKind.ZMINUS, sym.order))
-    return poly.substitute(mapping)
+    return SymPoly.symbol(sym), identity.rhs.scaled(coeff.inverse())
 
 
 def autonomous_full_identity(N: int, n: int) -> SumRuleIdentity:

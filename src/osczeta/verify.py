@@ -4,15 +4,13 @@ numerically and every closed form is checked against an independent route
 
 The battery is organized as one list of CheckRecord per degree N; a
 VerificationReport aggregates them with run metadata.  Reports are
-deterministic for a fixed configuration (timings are kept out of the
-serialized form).
+deterministic for a fixed configuration.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import time
 
 import mpmath as mp
 
@@ -55,7 +53,8 @@ class VerificationReport:
     digits: int
     eigencount: int
     n_list: tuple
-    timings: dict = dataclasses.field(default_factory=dict)
+    # {N: (plus_record, minus_record)} as solved; not serialized
+    spectra: dict = dataclasses.field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -75,11 +74,9 @@ class VerificationReport:
         lines.append(f"{len(self.records)} checks, {n_fail} failure(s)")
         return "\n".join(lines)
 
-    def to_json(self, include_timing: bool = False) -> str:
+    def to_json(self) -> str:
         meta = {"digits": self.digits, "eigencount": self.eigencount,
                 "n_list": list(self.n_list)}
-        if include_timing:
-            meta["timings"] = {k: round(v, 3) for k, v in self.timings.items()}
         return json.dumps({"meta": meta, "passed": self.passed,
                            "checks": [r.to_json_dict() for r in self.records]},
                           indent=2)
@@ -411,11 +408,11 @@ def _sextic_checks(table, digits):
 
 
 def run_battery(n_list=(1, 2, 3, 6), digits: int = DEFAULT_DPS,
-                eigencount: int = 12, spectra: dict = None) -> VerificationReport:
-    """Run all checks for the given degrees.  `spectra` may supply
-    precomputed {N: (plus_record, minus_record)} pairs."""
-    records = []
-    timings = {}
+                eigencount: int = 12) -> VerificationReport:
+    """Run all checks for the given degrees.  Each degree solves one pair
+    (for N=1 at least AIRY_LEVELS levels, for the Airy checks), and its
+    zeta table takes the first `eigencount` levels."""
+    records, spectra = [], {}
     # ambient precision for all inline reference arithmetic in the builders
     with working(digits, extra=20):
         b3 = bohr_sommerfeld_b0(3, digits)
@@ -425,37 +422,24 @@ def run_battery(n_list=(1, 2, 3, 6), digits: int = DEFAULT_DPS,
                               "2^(2/3) sqrt3 Gamma(1/3)^3/(5 pi)",
                               ref, b3, mp.mpf(10) ** (-(digits - 10))))
         for N in n_list:
-            t0 = time.time()
-            dps = spectral_dps(N, digits)
-            recs = spectra.get(N) if spectra else None
-            if N == 1:
-                # one deep pair serves the Airy checks and, by the prefix
-                # property of the Airy march, the zeta table
-                airy = recs
-                if not recs or any(len(rec) < AIRY_LEVELS
-                                   or min(rec.certified_digits) < dps
-                                   for rec in recs):
-                    airy = compute_spectra(1, max(eigencount, AIRY_LEVELS),
-                                           digits)
-                    recs = recs or tuple(rec.prefix(eigencount)
-                                         for rec in airy)
-            elif recs is None:
-                recs = compute_spectra(N, eigencount, digits)
+            count = max(eigencount, AIRY_LEVELS) if N == 1 else eigencount
+            pair = spectra[N] = compute_spectra(N, count, digits)
+            recs = tuple(rec.prefix(eigencount) for rec in pair)
             # N >= 3 feeds the determinant series, which needs deep zeta tables
-            table = em_zeta_table(N, recs, 26 if N >= 3 else 6, dps)
+            table = em_zeta_table(N, recs, 26 if N >= 3 else 6,
+                                  spectral_dps(N, digits))
             idents = derive_sum_rules(N, 6)   # shared by the builders
             records.extend(_common_checks(N, recs, table, idents, digits))
             records.extend(_funceq_checks(N, table, digits))
             if N == 1:
-                records.extend(_airy_checks(airy, digits))
+                records.extend(_airy_checks(pair, digits))
             elif N == 2:
                 records.extend(_harmonic_checks(digits))
             elif N == 3:
                 records.extend(_cubic_checks(recs, table, idents, digits))
             elif N == 6:
                 records.extend(_sextic_checks(table, digits))
-            timings[f"N{N}"] = time.time() - t0
     records.sort(key=lambda r: r.check_id)
     return VerificationReport(records=tuple(records), digits=digits,
                               eigencount=eigencount, n_list=tuple(n_list),
-                              timings=timings)
+                              spectra=spectra)

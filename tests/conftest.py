@@ -1,40 +1,38 @@
-"""Shared fixtures: expensive spectra and the full verification battery are
-computed once per session and reused by every test module."""
+"""Shared fixtures: the full verification battery runs once per session, and
+the spectra it solved serve every test module."""
 
 import pytest
 
-from osczeta.spectrum import eigenvalues
 from osczeta.verify import run_battery
 
 
 @pytest.fixture(scope="session")
-def spectra1():
-    # Airy fast path: deep and cheap
-    return (eigenvalues(1, "+", 30, 45), eigenvalues(1, "-", 30, 45))
+def battery():
+    """One full verification run at the default configuration, as
+    `osczeta verify` runs it; individual tests assert on its check records
+    instead of recomputing."""
+    return run_battery()
 
 
 @pytest.fixture(scope="session")
-def spectra2():
-    return (eigenvalues(2, "+", 12, 30), eigenvalues(2, "-", 12, 30))
+def spectra1(battery):
+    # Airy fast path: the battery's deep pair for the Airy checks
+    return battery.spectra[1]
 
 
 @pytest.fixture(scope="session")
-def spectra3():
-    return (eigenvalues(3, "+", 12, 30), eigenvalues(3, "-", 12, 30))
+def spectra2(battery):
+    return battery.spectra[2]
 
 
 @pytest.fixture(scope="session")
-def spectra6():
-    return (eigenvalues(6, "+", 12, 30), eigenvalues(6, "-", 12, 30))
+def spectra3(battery):
+    return battery.spectra[3]
 
 
 @pytest.fixture(scope="session")
-def battery(spectra1, spectra2, spectra3, spectra6):
-    """One full verification run at the default configuration; individual
-    tests assert on its check records instead of recomputing."""
-    return run_battery(
-        n_list=(1, 2, 3, 6), digits=50, eigencount=12,
-        spectra={1: spectra1, 2: spectra2, 3: spectra3, 6: spectra6})
+def spectra6(battery):
+    return battery.spectra[6]
 
 
 def battery_record(report, check_id):

@@ -5,9 +5,13 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from osczeta import cli, sumrules, verify
 from osczeta.sympoly import ZKind
@@ -32,12 +36,17 @@ with open(os.path.join(os.path.dirname(__file__), "data",
                        "derive_digest_nmax16.json"), encoding="utf-8") as _fh:
     DERIVE_DIGESTS = json.load(_fh)
 
-# `osczeta verify --format json` stdout for small N=1 and N=2 runs, and the
-# default battery's JSON, recorded with mpmath's lerchphi on the alternating
-# routes that the alternating Hurwitz kernel replaces
+# `osczeta verify --format json` stdout for small N=1 and N=2 runs, recorded
+# with mpmath's lerchphi on the alternating routes that the alternating
+# Hurwitz kernel replaces
 with open(os.path.join(os.path.dirname(__file__), "data",
                        "verify_snapshot.json"), encoding="utf-8") as _fh:
     VERIFY_SNAPSHOT = json.load(_fh)
+
+# `osczeta verify --format json` stdout at the default configuration
+with open(os.path.join(os.path.dirname(__file__), "data",
+                       "verify_cli_default.json"), encoding="utf-8") as _fh:
+    VERIFY_CLI_DEFAULT = _fh.read()
 
 
 def run(argv):
@@ -152,7 +161,8 @@ class TestVerifySnapshot:
         assert capsys.readouterr().out == case["stdout"]
 
     def test_default_battery_is_byte_identical(self, battery):
-        assert battery.to_json() == VERIFY_SNAPSHOT["battery"]
+        # the session battery is what `osczeta verify` runs by default
+        assert battery.to_json() + "\n" == VERIFY_CLI_DEFAULT
 
 
 class TestDeriveWork:
@@ -228,16 +238,6 @@ class TestVerifyWork:
                     "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["passed"]
         assert calls == [(1, "+", 30, 20), (1, "-", 30, 20)]
-
-    def test_supplied_deep_pair_is_not_solved_again(self, monkeypatch,
-                                                    spectra1):
-        def refuse(*args):
-            raise AssertionError(f"unexpected solve {args}")
-
-        monkeypatch.setattr(verify, "eigenvalues", refuse)
-        report = verify.run_battery(n_list=(1,), digits=20, eigencount=5,
-                                    spectra={1: spectra1})
-        assert report.passed
 
 
 class TestTableCommand:
@@ -328,6 +328,40 @@ class TestConfigHandling:
                     "--format", "csv", "--out", str(target)]) == 0
         assert target.read_text().startswith("N,parity,k,")
 
+    @pytest.mark.parametrize("argv", [
+        ["table", "--N", "2", "--nmax", "2"],
+        ["verify", "--N", "2", "--digits", "6", "--count", "5"]])
+    def test_unwritable_out_exits_two(self, argv, tmp_path, capsys):
+        # a directory, and a file in a missing directory: a typed error
+        # and exit 2, which is not a verification failure
+        for out, exc in ((tmp_path, "IsADirectoryError"),
+                         (tmp_path / "missing" / "x.txt",
+                          "FileNotFoundError")):
+            assert run([*argv, "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: {exc}: ")
+
+    @given(text=st.lists(st.one_of(
+        st.text(st.characters(blacklist_categories=("Cs",))),
+        st.builds("{} = {}".format,
+                  st.sampled_from([key for _, key, _ in cli.SETTINGS]),
+                  st.text(st.characters(blacklist_categories=("Cs",)))))
+    ).map("\n".join))
+    @settings(max_examples=200, deadline=None)
+    def test_any_config_text_is_valid_or_rejected(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "run.cfg")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            args = cli.build_parser().parse_args(["zeta", "--config", path])
+            try:
+                cfg = cli._config_from_args(args)
+            except (ValueError, OSError):
+                return
+        assert isinstance(cfg, cli.RunConfig)
+        cfg.validate()
+
 
 class TestZetaCommand:
     def test_harmonic_values(self, capsys):
@@ -337,6 +371,18 @@ class TestZetaCommand:
         # ZP(1) = pi/4 and Z(2) = pi^2/8 from the spectrum alone
         assert "0.785398" in out
         assert "1.2337" in out
+
+    def test_text_digits_are_certified(self, capsys):
+        # no text value shows more significant digits than its label
+        assert run(["zeta", "--N", "1,3", "--count", "2", "--digits", "30",
+                    "--nmax", "3"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines
+        for line in lines:
+            value, label = re.fullmatch(
+                r"N=\d+ \w+ +n=\d+  (\S+) +\[(\d+) digits\]", line).groups()
+            mantissa = value.lstrip("-").split("e")[0].replace(".", "")
+            assert len(mantissa.strip("0")) <= int(label), line
 
     def test_csv_rows(self, capsys):
         assert run(["zeta", "--N", "2", "--count", "4", "--digits", "12",
@@ -360,7 +406,7 @@ class TestVerifyCommand:
             residual="0.0", digits_agreed=50, tolerance="1.0e-10",
             passed=passed)
         return VerificationReport(records=(record,), digits=50,
-                                  eigencount=12, n_list=(2,), timings={})
+                                  eigencount=12, n_list=(2,))
 
     def test_exit_zero_on_pass(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "run_battery",

@@ -319,13 +319,14 @@ class TestSolverRegression:
     def test_full_action_inward_sweep_agrees(self, monkeypatch, request,
                                              N, parity, pair):
         # the inward start needs only half the action: its error decays
-        # inward relative to the wanted solution as e^(-2A)
+        # inward relative to the wanted solution as e^(-2A); the fixture is
+        # built before the patch, which would otherwise slow its solves
+        plus, minus = request.getfixturevalue(pair)
         choose = spectrum._choose_qmax
         monkeypatch.setattr(
             spectrum, "_choose_qmax",
             lambda N, E, qm, decades: choose(N, E, qm, 2 * decades))
         rec = eigenvalues(N, parity, 3, 30)
-        plus, minus = request.getfixturevalue(pair)
         ref = plus if parity == "+" else minus
         assert rec.eigenvalues == ref.eigenvalues[:3]
 

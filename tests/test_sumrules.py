@@ -469,3 +469,30 @@ class TestSerialization:
     def test_solved_form_rejects_generic(self):
         with pytest.raises(ValueError):
             solved_form(rules(3)[1])
+
+    @pytest.mark.parametrize("cls, lhs, message", [
+        ("Zfull", T(2), r"expected Z\(2\)"),
+        ("Zfull", F(2) + T(2), r"not proportional to Z\(2\)"),
+        ("Zplus", F(2) - T(2), r"expected Z\+\(2\)"),
+        ("Zplus", F(2), r"not proportional to Z\+\(2\)"),
+        ("Zminus", F(2) + T(1) * T(1), r"not proportional to Z-\(2\)")])
+    def test_solved_form_checks_the_lhs(self, cls, lhs, message):
+        # c Z(n) + d ZP(n) = (c + d) Z+(n) + (c - d) Z-(n): the wanted value
+        # must carry a coefficient, and nothing else may
+        ident = sumrules.SumRuleIdentity(1, 2, lhs, T(1) * T(1), cls)
+        with pytest.raises(AssertionError, match=message):
+            solved_form(ident)
+
+    def test_solved_forms_substitute_nothing(self, monkeypatch):
+        # the Z+ and Z- coefficients are read off the lhs, so the printed
+        # identities (odd N has Zplus and Zminus orders) rewrite nothing
+        def refuse(self, mapping):
+            raise AssertionError("solved_form called substitute")
+
+        monkeypatch.setattr(SymPoly, "substitute", refuse)
+        classes = set()
+        for N in range(1, 11):
+            for ident in rules(N, 12):
+                ident.to_text()
+                classes.add(ident.classification)
+        assert {"Zfull", "Ztwisted", "Zplus", "Zminus"} <= classes

@@ -157,7 +157,7 @@ class TestZetaTable:
             zetafns.zeta_values(3, spectra3[0], [("plus", 2),
                                                  ("minus", 2)], 20)
 
-    def test_cubic_battery_work(self, spectra3, monkeypatch):
+    def test_cubic_battery_work(self, monkeypatch):
         fits, hypers = [], []
         fit, hyper = zetafns._fit_tail_model, cf.hyper_4f3
 
@@ -179,7 +179,7 @@ class TestZetaTable:
         monkeypatch.setattr(zetafns, "_fit_tail_model", counted_fit)
         monkeypatch.setattr(cf, "hyper_4f3", counted_hyper)
         monkeypatch.setattr(verify, "derive_sum_rules", counted_derive)
-        run_battery((3,), 20, 12, spectra={3: spectra3})
+        run_battery((3,), 20, 12)
         # one fit per record for the table and one per record for the
         # five-level reference run; each 4F3 closed form once; one
         # derivation serves the common and the cubic checks
