@@ -12,8 +12,10 @@ Hurwitz kernel, `hurwitz_many`: every Hurwitz zeta of the package (the
 semiclassical tails of `zetafns`, the alternating sums, the N=2 closed
 forms, and the 4F3 tail: one batch in inverse powers of the index,
 certified by a second cut) is a batch of exponents at one shift on it, each
-value to a relative error of one ulp.  Ai and Ai' (`airy_eval`) come from
-the zeros' march, run to t = -x.
+value to a relative error of one ulp.  The march of Ai(-t) steps by the
+shooting sweep's rule below its turning point, 1/sqrt(max(t, 1)), and finds
+each zero by Newton on the Taylor series of the step that holds it; Ai and
+Ai' (`airy_eval`) come from the same march, run to t = -x.
 """
 
 from __future__ import annotations
@@ -381,7 +383,7 @@ def genocchi_number(n: int) -> int:
 TAYLOR_MAX_TERMS = 401
 
 
-def _taylor_step(u, P, tol_h, starts, h2):
+def _taylor_step(u, P, tol_h, starts, h2, terms=None):
     """Advance psi'' = p(q) psi by one step h from q0, p a polynomial, with
     the local Taylor recurrence on scaled terms d_k = c_k h^k, integers in
     fixed point 2^-P: d_{k+2} = (sum_j u_j d_{k-j} >> P) // ((k+1)(k+2)),
@@ -397,7 +399,9 @@ def _taylor_step(u, P, tol_h, starts, h2):
     top coefficient feeds a term N places after its source, so fewer small
     terms in a row can cut off a contribution still to come.  For the Airy
     march (n = 2) that is two in a row.  A step that has not converged after
-    TAYLOR_MAX_TERMS terms raises PrecisionUnreachableError.
+    TAYLOR_MAX_TERMS terms raises PrecisionUnreachableError.  A list passed
+    as `terms` receives the psi terms d_0, d_1, ..., so that psi(q0 + s) is
+    sum_k d_k (s/h)^k anywhere on the step.
 
     Each series carries n - 1 leading zeros (n = len(u)), so the terms
     d_{k-n+1} .. d_k are the forward slice [k, k + n) against u reversed,
@@ -436,6 +440,8 @@ def _taylor_step(u, P, tol_h, starts, h2):
         raise PrecisionUnreachableError(
             f"Taylor step did not converge in {TAYLOR_MAX_TERMS} terms: the "
             "step is too long for the size of the potential")
+    if terms is not None:
+        terms += d[n - 1:]
     # the leading zeros sit at negative powers, where they add nothing
     powers = range(1 - n, len(d) + 1 - n)
     return [v for s in series
@@ -469,35 +475,45 @@ AIRY_MAX_STEPS = 4096
 AIRY_MAX_EXTRA_DIGITS = 200
 
 
-def _airy_local(t, y, yp, s, P, tol):
+def _airy_local(t, y, yp, s, P, tol, terms=None):
     """(y, y') at t + s from (y, y') at t for y(t) = Ai(-t), y'' = -t y: one
-    step of the Taylor kernel, all in fixed point 2^-P, s of either sign."""
+    step of the Taylor kernel, all in fixed point 2^-P, s of either sign.
+    A list passed as `terms` receives the step's scaled Taylor terms."""
     if s == 0:
         return y, yp
     u = [-(t * s * s >> 2 * P), -(s * s * s >> 2 * P)]
     val, hder = _taylor_step(u, P, tol * abs(s) >> P,
-                             [(y, yp * s >> P)], s * s >> P)
+                             [(y, yp * s >> P)], s * s >> P, terms)
     return val, (hder << P) // s
 
 
 def _airy_march(P, tol, stop=None):
     """The grid march of y(t) = Ai(-t) in fixed point 2^-P, at tolerance
     `tol` of the Taylor kernel.  Starts at t = 0 from Ai(0) and -Ai'(0) at
-    the ambient precision and takes steps h = min(1/4, 1/(2 sqrt|t|)) toward
-    `stop` (the last step ends on it; negative for x > 0), or upward without
-    end.  Yields (t, h, y, y', y at t + h, y' at t + h) for each step."""
+    the ambient precision and takes steps h = 1/sqrt(max(|t|, 1)), the rule
+    of the shooting sweep below its turning point, toward `stop` (the last
+    step ends on it; negative for x > 0), or upward without end.  Yields
+    (t, h, y, y', y at t + h, y' at t + h, d) for each step, d the step's
+    scaled Taylor terms: y(t + s) = sum_k d_k (s/h)^k on it."""
     dps = mpmath.mp.dps
     y = int(mpmath.ldexp(airy_taylor_coefficient(0, dps), P))
     yp = -int(mpmath.ldexp(airy_taylor_coefficient(1, dps), P))
     t = 0
     while t != stop:
-        h = int(mpmath.ldexp(
-            min(0.25, 0.5 / math.sqrt(max(abs(t) / (1 << P), 1.0))), P))
+        h = int(mpmath.ldexp(1 / math.sqrt(max(abs(t) / (1 << P), 1.0)), P))
         if stop is not None:
             h = min(h, stop - t) if stop > 0 else max(-h, stop - t)
-        y_b, yp_b = _airy_local(t, y, yp, h, P, tol)
-        yield t, h, y, yp, y_b, yp_b
+        d = []
+        y_b, yp_b = _airy_local(t, y, yp, h, P, tol, d)
+        yield t, h, y, yp, y_b, yp_b, d
         t, y, yp = t + h, y_b, yp_b
+
+
+def _airy_march_steps(a):
+    """Steps `_airy_march` takes to reach |t| = a > 0, at most: each step
+    advances n(t) = integral of 1/h = (2 |t|^(3/2) + 1)/3 (past |t| = 1) by
+    at least 1, because 1/h grows along it."""
+    return mpmath.ceil((2 * max(a, 1) ** 1.5 + 1) / 3)
 
 
 def airy_eval(x, derivative: int = 0, dps: int = DEFAULT_DPS):
@@ -507,10 +523,11 @@ def airy_eval(x, derivative: int = 0, dps: int = DEFAULT_DPS):
     takes no step and returns `airy_taylor_coefficient(derivative, dps)`.
     For x > 0 it carries 2 xi / ln 10 extra digits, xi = (2/3) x^(3/2),
     because an error grows like Bi/Ai ~ e^(2 xi) on the recessive side.
-    Supported are x whose march takes at most AIRY_MAX_STEPS steps (about
-    (4/3)|x|^(3/2): |x| <= 211) and needs at most AIRY_MAX_EXTRA_DIGITS
-    extra digits (x <= 49); beyond them PrecisionUnreachableError is raised
-    before the first step.  A non-finite x raises ValueError.
+    Supported are x whose march takes at most AIRY_MAX_STEPS steps of
+    h = 1/sqrt(max(|t|, 1)) (`_airy_march_steps`: about (2|x|^(3/2) + 1)/3,
+    so |x| <= 335) and needs at most AIRY_MAX_EXTRA_DIGITS extra digits
+    (x <= 49); beyond them PrecisionUnreachableError is raised before the
+    first step.  A non-finite x raises ValueError.
     """
     if derivative not in (0, 1):
         raise ValueError("derivative must be 0 or 1")
@@ -519,8 +536,7 @@ def airy_eval(x, derivative: int = 0, dps: int = DEFAULT_DPS):
     if not mpmath.isfinite(x):
         raise ValueError(f"airy_eval requires a finite x, got {x}")
     # in mpf, whose exponent does not overflow at any finite x
-    a = abs(x)
-    steps = 4 * min(a, 4) + 4 * (max(a, 4) ** 1.5 - 8) / 3
+    steps = _airy_march_steps(abs(x))
     xi = 2 * max(x, 0) ** 1.5 / 3
     extra = mpmath.ceil(2 * xi / mpmath.ln10)
     if steps > AIRY_MAX_STEPS or extra > AIRY_MAX_EXTRA_DIGITS:
@@ -536,7 +552,7 @@ def airy_eval(x, derivative: int = 0, dps: int = DEFAULT_DPS):
         if stop == 0:
             return airy_taylor_coefficient(derivative, dps)
         tol = int(mpmath.ldexp(mpf(10) ** (-(dps + GUARD + 10 + extra)), P))
-        for *_, y, yp in _airy_march(P, tol, stop):
+        for *_, y, yp, _ in _airy_march(P, tol, stop):
             pass
     with mpmath.workdps(dps):
         return mpf((-yp if derivative else y, -P))
@@ -547,14 +563,18 @@ def airy_negative_zeros(count: int, derivative: int = 0,
     """Magnitudes of the first `count` negative zeros of Ai (or Ai'), in order.
 
     One march of y(t) = Ai(-t), y'' = -t y, from t = 0 on the integer Taylor
-    kernel with steps h = min(1/4, 1/(2 sqrt t)) (`_airy_march`).  The phase
-    advances by at most 0.5 rad a step, so a step holds at most one zero of
-    y and one of y', and the k-th sign change of y (or y') on the grid is
-    the k-th zero.  Each zero is found by Newton on the local Taylor step
-    from the start of its grid step and certified by a sign change across
-    x (1 +- 10^-(dps+4)/4).  An iterate that leaves its grid step, a missing
-    sign change, or a march that runs past the asymptotic place of its last
-    zero raises CertificationError.
+    kernel with steps h = 1/sqrt(max(t, 1)) (`_airy_march`).  On a step
+    [t0, t0 + h] the Pruefer phase of y = r sin(theta), y' = r w cos(theta),
+    w = sqrt(t0 + h), obeys 0 <= theta' = w cos^2 + (t/w) sin^2 <= w, so it
+    rises by at most h sqrt(t0 + h) <= sqrt(2) rad < pi: a step holds at most
+    one zero of y and one of y', and the k-th sign change of y (or y') on
+    the grid is the k-th zero.  Each zero is found by Newton on the Taylor
+    series of its own grid step, which the march has already summed, from
+    the secant of the step's ends, in the same fixed point; then it is
+    certified by a sign change across x (1 +- 10^-(dps+4)/4), two kernel
+    steps from the start of its grid step.  An iterate that leaves its grid
+    step, a missing sign change, or a march that runs past the asymptotic
+    place of its last zero raises CertificationError.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -565,13 +585,18 @@ def airy_negative_zeros(count: int, derivative: int = 0,
         tol = int(mpmath.ldexp(mpf(10) ** (-(dps + GUARD + 10)), P))
         delta = int(mpmath.ldexp(mpf(10) ** (-(dps + 4)) / 4, P))
 
-        def root(t, h, y, yp, s):
-            """Zero of y (or y') in the grid step [t, t + h], from t + s."""
+        def root(t, h, y, yp, d, s):
+            """Zero of y (or y') in the grid step [t, t + h], from t + s,
+            by Newton on the step's series y(t + s) = sum_k d_k (s/h)^k."""
             for _ in range(60):
-                val, der = _airy_local(t, y, yp, s, P, tol)
+                th = (s << P) // h
+                f = g = 0           # y and h y' at t + s, by Horner
+                for dk in reversed(d):
+                    g = (g * th >> P) + f
+                    f = (f * th >> P) + dk
                 # Newton on y, or on y' with y'' = -(t + s) y
-                step = (-((val << P) // der) if derivative == 0
-                        else (der << 2 * P) // ((t + s) * val))
+                step = (-(f * h // g) if derivative == 0
+                        else (g << 3 * P) // (h * (t + s) * f))
                 s += step
                 if not 0 <= s <= h:
                     raise CertificationError(
@@ -595,14 +620,14 @@ def airy_negative_zeros(count: int, derivative: int = 0,
         # the asymptotic zeros (3 pi/8 (4k - 1))^(2/3) bound where the march
         # must have met them all; a march that runs past has lost its solution
         t_end = int(mpmath.ldexp((1.5 * math.pi * count) ** (2 / 3) + 2, P))
-        for t, h, y, yp, y_b, yp_b in _airy_march(P, tol):
+        for t, h, y, yp, y_b, yp_b, d in _airy_march(P, tol):
             if t > t_end:
                 raise CertificationError(
                     f"Airy march found {len(zeros)} of {count} zeros by "
                     f"t = {t / (1 << P):.6g}")
             fa, fb = (y, y_b) if derivative == 0 else (yp, yp_b)
             if (fa < 0) != (fb < 0):
-                zeros.append(root(t, h, y, yp, h * fa // (fa - fb)))
+                zeros.append(root(t, h, y, yp, d, h * fa // (fa - fb)))
                 if len(zeros) == count:
                     break
     with mpmath.workdps(dps):

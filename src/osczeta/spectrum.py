@@ -29,8 +29,12 @@ eigenfunction nodes below it.
 
 For N=1 the odd/even eigenvalues are exactly the negated zeros of Ai / Ai',
 and the solver takes that fast path: `numerics.airy_negative_zeros` marches
-Ai(-t) through all of them on the same kernel, one call per parity, and
-certifies each zero by a sign change and its index by its place in the march.
+Ai(-t) through all of them on the same kernel, one call per parity, in the
+outward sweep's steps below the turning point, 1/sqrt(max(t, 1)), which the
+same Pruefer bound keeps below sqrt(2) rad.  It finds each zero by Newton on
+the Taylor series of the step that holds it, with no further kernel call,
+certifies it by a sign change between two kernel steps, and its index by its
+place in the march.
 """
 
 from __future__ import annotations

@@ -70,6 +70,16 @@ class TestSpectrumCommand:
         assert "4.08794944" in out
         assert "5.52055982" in out
 
+    def test_airy_hundred_levels_byte_identical(self, capsys):
+        # the first 100 zeros of Ai and Ai' at 45 digits, as recorded with
+        # the half-radian march and a kernel step per Newton iterate
+        assert run(["spectrum", "--N", "1", "--count", "100", "--digits", "45",
+                    "--format", "json"]) == 0
+        with open(os.path.join(os.path.dirname(__file__), "data",
+                               "spectrum_cli_airy.json"),
+                  encoding="utf-8") as fh:
+            assert capsys.readouterr().out == fh.read()
+
     def test_csv_format(self, capsys):
         assert run(["spectrum", "--N", "2", "--count", "3",
                     "--digits", "15", "--format", "csv"]) == 0

@@ -404,6 +404,22 @@ class TestAiry:
         assert airy_eval(mp.mpf(0), deriv, dps)._mpf_ == \
             airy_taylor_coefficient(deriv, dps)._mpf_
 
+    @pytest.mark.parametrize("x", [-20, -100, -200, 12, 40])
+    def test_march_step_estimate(self, monkeypatch, x):
+        # the budget's step estimate bounds the steps the march takes (one
+        # kernel call each), and by no more than 20%
+        calls = []
+        step = numerics._taylor_step
+
+        def counting(*args):
+            calls.append(args)
+            return step(*args)
+
+        monkeypatch.setattr(numerics, "_taylor_step", counting)
+        airy_eval(mp.mpf(x), 0, 15)
+        estimate = numerics._airy_march_steps(mp.mpf(abs(x)))
+        assert len(calls) <= estimate <= 1.2 * len(calls)
+
     @pytest.mark.parametrize("x", ["-1e6", "1e6"])
     def test_eval_beyond_march_budget_fails_fast(self, x):
         start = time.perf_counter()
@@ -459,6 +475,16 @@ class TestAiryZeroMarch:
                 assert abs(zeros[k - 1] / ref - 1) < mp.mpf("1e-100")
 
     @pytest.mark.parametrize("deriv", [0, 1])
+    def test_hundred_zeros_in_order(self, deriv):
+        # every zero up to t = 60 at its index: a 1-rad march step (sqrt(2)
+        # rad below t = 1) skips none and counts none twice
+        zeros = airy_negative_zeros(100, deriv, 30)
+        with mp.workdps(40):
+            for k, z in enumerate(zeros, start=1):
+                ref = -mp.airyaizero(k, derivative=deriv)
+                assert abs(z / ref - 1) < mp.mpf(10) ** -30, k
+
+    @pytest.mark.parametrize("deriv", [0, 1])
     def test_prefix(self, deriv):
         assert airy_negative_zeros(30, deriv, 30)[:5] == \
             airy_negative_zeros(5, deriv, 30)
@@ -471,8 +497,8 @@ class TestAiryZeroMarch:
 
     @pytest.mark.parametrize("deriv", [0, 1])
     def test_taylor_steps_per_march(self, monkeypatch, deriv):
-        # about 190 grid steps to t = 27, then per zero a handful of Newton
-        # steps and 2 certificate steps
+        # about 93 grid steps to t = 27, then per zero 2 certificate steps;
+        # Newton runs on the grid step's own terms, with no kernel call
         calls = []
         step = numerics._taylor_step
 
@@ -482,7 +508,9 @@ class TestAiryZeroMarch:
 
         monkeypatch.setattr(numerics, "_taylor_step", counting)
         airy_negative_zeros(30, deriv, 45)
-        assert len(calls) <= 450
+        assert len(calls) <= 175
+        # a grid step keeps its terms, a certificate step does not
+        assert sum(args[5] is None for args in calls) == 2 * 30
 
     def test_spurious_sign_change_is_refused(self, monkeypatch):
         # the first grid step comes back with its value negated: the grid
