@@ -180,16 +180,20 @@ def airy_log_zetas(n_max: int, dps: int = DEFAULT_DPS):
     """
     out = {}
     primes = {}
+    # Ai^(j)(0) for j <= n_max + 1, shared by the parities: the series of
+    # Ai' is the series of Ai shifted by one
+    coef = [airy_taylor_coefficient(j, dps + n_max) for j in range(n_max + 2)]
     with working(dps, extra=n_max):
         for parity, shift in (("minus", 0), ("plus", 1)):
-            c = [airy_taylor_coefficient(n + shift, dps + n_max)
-                 / mp.factorial(n) for n in range(n_max + 1)]
+            c = [coef[n + shift] / mp.factorial(n) for n in range(n_max + 1)]
             a = [cn / c[0] for cn in c]
             ell = [mp.mpf(0)] * (n_max + 1)
+            k_ell = [mp.mpf(0)] * (n_max + 1)      # k ell_k
             for n in range(1, n_max + 1):
-                s = n * a[n] - mp.fsum(k * ell[k] * a[n - k]
+                s = n * a[n] - mp.fsum(k_ell[k] * a[n - k]
                                        for k in range(1, n))
                 ell[n] = s / n
+                k_ell[n] = n * ell[n]
             out[parity] = {n: (-1) ** (n + 1) * n * ell[n]
                            for n in range(1, n_max + 1)}
             # D(0) = (-1)^shift 2 sqrt(pi) c0 = exp(-Z'(0))

@@ -3,7 +3,9 @@
 Gamma, Hurwitz zeta values and the alternating Hurwitz sum, the Airy
 function Ai and its derivative, the negative zeros of Ai and Ai', Bernoulli /
 Euler / Genocchi numbers, and the generalized hypergeometric 4F3 at unit
-argument.  Everything is pure and deterministic given (inputs, dps).
+argument.  Every value is determined by (inputs, dps); what is kept between
+calls (exact sequences, the grid of the last march of Ai(-t)) only saves
+work.
 
 Two integer fixed-point kernels live here.  The Taylor kernel,
 `_taylor_step`: the shooting solver of `spectrum` integrates on it, and so
@@ -14,8 +16,11 @@ forms, and the 4F3 tail: one batch in inverse powers of the index,
 certified by a second cut) is a batch of exponents at one shift on it, each
 value to a relative error of one ulp.  The march of Ai(-t) steps by the
 shooting sweep's rule below its turning point, 1/sqrt(max(t, 1)), and finds
-each zero by Newton on the Taylor series of the step that holds it; Ai and
-Ai' (`airy_eval`) come from the same march, run to t = -x.
+each zero by Newton on the Taylor series of the step that holds it.  Its
+grid points are kept for the last precision, so the zeros of Ai' replay the
+march that found those of Ai, or the other way round, and a kernel call is
+made only for the steps that hold a wanted zero.  Ai and Ai' (`airy_eval`)
+come from the same march, run to t = -x.
 """
 
 from __future__ import annotations
@@ -336,19 +341,32 @@ def alternating_hurwitz(s, a):
 # --------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
+def _tangent_numbers(m: int) -> tuple:
+    """(T_1, ..., T_m), the tangent numbers (tan x = sum T_n x^(2n-1) /
+    (2n-1)!), by the integer recurrence of Brent & Harvey (2011)."""
+    t = [1]
+    for k in range(1, m):
+        t.append(k * t[-1])
+    for k in range(1, m):
+        for j in range(k, m):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return tuple(t)
+
+
+@lru_cache(maxsize=None)
 def bernoulli_number(n: int) -> Fraction:
-    """Exact Bernoulli number B_n (B_1 = -1/2 convention)."""
+    """Exact Bernoulli number B_n (B_1 = -1/2 convention), from the tangent
+    numbers: B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1))."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    # sum_{j=0}^{m} C(m+1, j) B_j = 0 for m >= 1
-    if n == 0:
-        return Fraction(1)
-    if n > 1 and n % 2 == 1:
+    if n < 2:
+        return Fraction(1) if n == 0 else Fraction(-1, 2)
+    if n % 2 == 1:
         return Fraction(0)
-    acc = Fraction(0)
-    for j in range(n):
-        acc += math.comb(n + 1, j) * bernoulli_number(j)
-    return -acc / (n + 1)
+    m = n // 2
+    # at a power of two, so that a run of calls shares one recurrence
+    t = _tangent_numbers(1 << (m - 1).bit_length())[m - 1]
+    return Fraction((-1) ** (m - 1) * n * t, 4 ** m * (4 ** m - 1))
 
 
 @lru_cache(maxsize=None)
@@ -487,18 +505,23 @@ def _airy_local(t, y, yp, s, P, tol, terms=None):
     return val, (hder << P) // s
 
 
-def _airy_march(P, tol, stop=None):
-    """The grid march of y(t) = Ai(-t) in fixed point 2^-P, at tolerance
-    `tol` of the Taylor kernel.  Starts at t = 0 from Ai(0) and -Ai'(0) at
-    the ambient precision and takes steps h = 1/sqrt(max(|t|, 1)), the rule
-    of the shooting sweep below its turning point, toward `stop` (the last
-    step ends on it; negative for x > 0), or upward without end.  Yields
-    (t, h, y, y', y at t + h, y' at t + h, d) for each step, d the step's
-    scaled Taylor terms: y(t + s) = sum_k d_k (s/h)^k on it."""
+def _airy_origin(P):
+    """(0, y, y') of y(t) = Ai(-t) at t = 0 in fixed point 2^-P, from Ai(0)
+    and Ai'(0) at the ambient precision."""
     dps = mpmath.mp.dps
-    y = int(mpmath.ldexp(airy_taylor_coefficient(0, dps), P))
-    yp = -int(mpmath.ldexp(airy_taylor_coefficient(1, dps), P))
-    t = 0
+    return (0, int(mpmath.ldexp(airy_taylor_coefficient(0, dps), P)),
+            -int(mpmath.ldexp(airy_taylor_coefficient(1, dps), P)))
+
+
+def _airy_march(P, tol, start, stop=None):
+    """The grid march of y(t) = Ai(-t) in fixed point 2^-P, at tolerance
+    `tol` of the Taylor kernel, from the grid point `start` = (t, y, y')
+    (`_airy_origin` for t = 0).  It takes steps h = 1/sqrt(max(|t|, 1)),
+    the rule of the shooting sweep below its turning point, toward `stop`
+    (the last step ends on it; negative for x > 0), or upward without end.
+    Yields (t, h, y, y', y at t + h, y' at t + h, d) for each step, d the
+    step's scaled Taylor terms: y(t + s) = sum_k d_k (s/h)^k on it."""
+    t, y, yp = start
     while t != stop:
         h = int(mpmath.ldexp(1 / math.sqrt(max(abs(t) / (1 << P), 1.0)), P))
         if stop is not None:
@@ -507,6 +530,30 @@ def _airy_march(P, tol, stop=None):
         y_b, yp_b = _airy_local(t, y, yp, h, P, tol, d)
         yield t, h, y, yp, y_b, yp_b, d
         t, y, yp = t + h, y_b, yp_b
+
+
+#: the grid points (t, y, y') of the last upward march of
+#: `airy_negative_zeros`, under its (P, tol)
+_AIRY_GRIDS = {}
+
+
+def _airy_grid(P, tol):
+    """The upward march of y(t) = Ai(-t) at (P, tol), as `_airy_march`
+    yields it from t = 0, except that the steps of the stored grid come
+    back with d = None and cost no kernel call; past its last point the
+    march goes on and appends each new point.  The two parities march the
+    same function, so at one precision they share one march; a march at
+    another precision replaces the stored one."""
+    grid = _AIRY_GRIDS.get((P, tol))
+    if grid is None:
+        _AIRY_GRIDS.clear()
+        grid = _AIRY_GRIDS[P, tol] = [_airy_origin(P)]
+    for (t, y, yp), (t_b, y_b, yp_b) in zip(grid, grid[1:]):
+        yield t, t_b - t, y, yp, y_b, yp_b, None
+    for step in _airy_march(P, tol, grid[-1]):
+        t, h, _, _, y_b, yp_b, _ = step
+        grid.append((t + h, y_b, yp_b))
+        yield step
 
 
 def _airy_march_steps(a):
@@ -552,10 +599,21 @@ def airy_eval(x, derivative: int = 0, dps: int = DEFAULT_DPS):
         if stop == 0:
             return airy_taylor_coefficient(derivative, dps)
         tol = int(mpmath.ldexp(mpf(10) ** (-(dps + GUARD + 10 + extra)), P))
-        for *_, y, yp, _ in _airy_march(P, tol, stop):
+        for *_, y, yp, _ in _airy_march(P, tol, _airy_origin(P), stop):
             pass
     with mpmath.workdps(dps):
         return mpf((-yp if derivative else y, -P))
+
+
+def _series_at(d, th, P):
+    """(sum_k d_k th^k, sum_k k d_k th^(k-1)) by integer Horner, th and the
+    results in fixed point 2^-P: on a kernel step of length h from t with
+    terms d, y and h y' at t + th h."""
+    f = g = 0
+    for dk in reversed(d):
+        g = (g * th >> P) + f
+        f = (f * th >> P) + dk
+    return f, g
 
 
 def airy_negative_zeros(count: int, derivative: int = 0,
@@ -568,13 +626,18 @@ def airy_negative_zeros(count: int, derivative: int = 0,
     w = sqrt(t0 + h), obeys 0 <= theta' = w cos^2 + (t/w) sin^2 <= w, so it
     rises by at most h sqrt(t0 + h) <= sqrt(2) rad < pi: a step holds at most
     one zero of y and one of y', and the k-th sign change of y (or y') on
-    the grid is the k-th zero.  Each zero is found by Newton on the Taylor
-    series of its own grid step, which the march has already summed, from
-    the secant of the step's ends, in the same fixed point; then it is
-    certified by a sign change across x (1 +- 10^-(dps+4)/4), two kernel
-    steps from the start of its grid step.  An iterate that leaves its grid
-    step, a missing sign change, or a march that runs past the asymptotic
-    place of its last zero raises CertificationError.
+    the grid is the k-th zero.  Both parities march the same y, so the grid
+    is kept by precision (`_airy_grid`): a call at digits already marched
+    replays it, and only a step that holds a sign change of the function it
+    wants costs a kernel call, for its Taylor terms.  Each zero is found by
+    Newton on the Taylor series of its own grid step, from the secant of
+    the step's ends, in the same fixed point; then it is certified by a
+    sign change across x (1 +- 10^-(dps+4)/4): one kernel step from the
+    start of its grid step to the upper end gives the sign there, and the
+    same step's series, by Horner, the sign at the lower end.  An iterate
+    that leaves its grid step, a missing sign change, or a march (replayed
+    or new) that runs past the asymptotic place of its last zero raises
+    CertificationError.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -589,11 +652,7 @@ def airy_negative_zeros(count: int, derivative: int = 0,
             """Zero of y (or y') in the grid step [t, t + h], from t + s,
             by Newton on the step's series y(t + s) = sum_k d_k (s/h)^k."""
             for _ in range(60):
-                th = (s << P) // h
-                f = g = 0           # y and h y' at t + s, by Horner
-                for dk in reversed(d):
-                    g = (g * th >> P) + f
-                    f = (f * th >> P) + dk
+                f, g = _series_at(d, (s << P) // h, P)
                 # Newton on y, or on y' with y'' = -(t + s) y
                 step = (-(f * h // g) if derivative == 0
                         else (g << 3 * P) // (h * (t + s) * f))
@@ -608,8 +667,9 @@ def airy_negative_zeros(count: int, derivative: int = 0,
                 raise CertificationError("Airy zero Newton did not converge")
             x = t + s
             dx = x * delta >> P
-            lo = _airy_local(t, y, yp, s - dx, P, tol)[derivative]
-            hi = _airy_local(t, y, yp, s + dx, P, tol)[derivative]
+            e = []
+            hi = _airy_local(t, y, yp, s + dx, P, tol, e)[derivative]
+            lo = _series_at(e, ((s - dx) << P) // (s + dx), P)[derivative]
             if lo * hi > 0:
                 raise CertificationError(
                     f"no sign change around zero {len(zeros) + 1} of "
@@ -620,13 +680,16 @@ def airy_negative_zeros(count: int, derivative: int = 0,
         # the asymptotic zeros (3 pi/8 (4k - 1))^(2/3) bound where the march
         # must have met them all; a march that runs past has lost its solution
         t_end = int(mpmath.ldexp((1.5 * math.pi * count) ** (2 / 3) + 2, P))
-        for t, h, y, yp, y_b, yp_b, d in _airy_march(P, tol):
+        for t, h, y, yp, y_b, yp_b, d in _airy_grid(P, tol):
             if t > t_end:
                 raise CertificationError(
                     f"Airy march found {len(zeros)} of {count} zeros by "
                     f"t = {t / (1 << P):.6g}")
             fa, fb = (y, y_b) if derivative == 0 else (yp, yp_b)
             if (fa < 0) != (fb < 0):
+                if d is None:
+                    d = []
+                    _airy_local(t, y, yp, h, P, tol, d)
                 zeros.append(root(t, h, y, yp, d, h * fa // (fa - fb)))
                 if len(zeros) == count:
                     break

@@ -7,9 +7,14 @@ q=0 against an inward integration carrying decaying initial data.  One
 kernel does all the integration: `numerics._taylor_step`, a high-order
 Taylor recurrence on Python integers in fixed point, which on request also
 carries dpsi/dE.  A shoot `_shoot(..., dps)` computes the matching Wronskian
-W to about `dps` digits: dps + GUARD + 5 working digits, Taylor steps summed
-to 10^-(dps+GUARD), and an inward start where the WKB action reaches half of
-dps ln 10 (the error of that start dies inward as e^(-2A)).  The outward
+W to about `dps` digits: dps + GUARD + 5 working digits, outward Taylor
+steps summed to 10^-(dps+GUARD), and an inward start where the WKB action A
+from the matching point reaches half of dps ln 10.  An error made inward at
+action A dies by e^(-2A) relative to the wanted solution before it reaches
+the matching point, except for its part along that solution, which only
+rescales the inward state and cancels from W: so the start's error is down
+to 10^-dps there, and an inward step whose inner end lies at A is summed to
+10^-(dps+GUARD) e^(1.8 A), never coarser than 10^-GUARD.  The outward
 sweep counts nodes by the sign of psi at step ends.  In Pruefer form, psi =
 r sin(theta) and psi' = r sqrt(E) cos(theta), the phase obeys theta' <=
 sqrt(E) and rises through every node, so below the turning point E^(1/N)
@@ -31,10 +36,11 @@ For N=1 the odd/even eigenvalues are exactly the negated zeros of Ai / Ai',
 and the solver takes that fast path: `numerics.airy_negative_zeros` marches
 Ai(-t) through all of them on the same kernel, one call per parity, in the
 outward sweep's steps below the turning point, 1/sqrt(max(t, 1)), which the
-same Pruefer bound keeps below sqrt(2) rad.  It finds each zero by Newton on
-the Taylor series of the step that holds it, with no further kernel call,
-certifies it by a sign change between two kernel steps, and its index by its
-place in the march.
+same Pruefer bound keeps below sqrt(2) rad.  Both parities march the same
+function, so the second parity at the same digits replays the first one's
+grid.  It finds each zero by Newton on the Taylor series of the step that
+holds it, certifies it by a sign change across it from one kernel step and
+that step's series, and its index by its place in the march.
 """
 
 from __future__ import annotations
@@ -141,6 +147,13 @@ def _forbidden_rate(N: int, E: float, q: float) -> float:
     return math.sqrt(max(q ** N - E, 0.0))
 
 
+#: growth rate, per unit of WKB action from the matching point qm, of the
+#: tolerance of an inward step (see `_shoot`): an error made at action A
+#: dies by e^(-2A) on its way to qm, and 1.8 < 2 leaves it e^(-0.2 A) below
+#: tol, a margin for the float estimate of A
+INWARD_RELAX = 1.8
+
+
 def _choose_qmax(N: int, E: float, qm: float, decades: float) -> float:
     """Smallest grid point where the WKB action from qm exceeds half the
     target number of decimal decades (float estimate; errors land far below
@@ -169,8 +182,11 @@ def _shoot(N: int, E, parity: str, dps: int, slope: bool = False):
     """Integrate outward and inward, returning (normalized Wronskian at the
     matching point, outward node count, Newton step -W/(dW/dE) or None),
     with W good to about `dps` digits: the arithmetic carries dps + GUARD +
-    5 digits, each Taylor step is summed to 10^-(dps+GUARD) and the inward
-    sweep starts `dps` decades deep.
+    5 digits, each outward Taylor step is summed to 10^-(dps+GUARD), the
+    inward sweep starts `dps` decades deep, and each inward step is summed
+    to 10^-(dps+GUARD) e^(INWARD_RELAX A), A the WKB action from qm to its
+    inner end (a float estimate, Simpson's rule on each step), but never
+    coarser than 10^-GUARD.
 
     Positions, steps and E are integers in fixed point with P = prec + 8
     bits.  Each step first rescales the state [psi, psi'] (with `slope` also
@@ -186,7 +202,7 @@ def _shoot(N: int, E, parity: str, dps: int, slope: bool = False):
         qmax_f = _choose_qmax(N, Ef, qm_f, dps)
         e_fix = int(mpmath.ldexp(E, P))
 
-        def advance(q, h, state):
+        def advance(q, h, state, tol=tol):
             shift = max(abs(state[0]), abs(state[1] * h) >> P).bit_length() - P
             state[:] = [v >> shift if shift > 0 else v << -shift for v in state]
             u = [math.comb(N, j) * q ** (N - j) * h ** (j + 2) >> (N + 1) * P
@@ -226,18 +242,32 @@ def _shoot(N: int, E, parity: str, dps: int, slope: bool = False):
                 positive = not positive
 
         # inward sweep with decaying WKB data; no node is counted here, so
-        # a step may span up to 6 local decay lengths 1/rate
+        # a step may span up to 6 local decay lengths 1/rate.  A step whose
+        # inner end lies at action A from qm is summed to tol e^(INWARD_RELAX
+        # A), rounded down to a power of two, but never coarser than 10^-GUARD
         qmax = mpf(qmax_f)
         V = qmax ** N
         yp = -mpmath.sqrt(V - E) - N * qmax ** (N - 1) / (4 * (V - E))
         inn = [one, int(mpmath.ldexp(yp, P))] + [0, 0] * slope
+        steps = []
         q = int(mpmath.ldexp(qmax, P))
         while q > qm:
-            rate = _forbidden_rate(N, Ef, q / one)
+            q_f = q / one
+            rate = _forbidden_rate(N, Ef, q_f)
             h = min(1.0, 6.0 / rate if rate > 0 else 1.0)
             h = min(int(mpmath.ldexp(h, P)), q - qm)
-            advance(q, -h, inn)
+            h_f = h / one
+            # the step's action, by Simpson's rule
+            action = h_f / 6 * (rate + _forbidden_rate(N, Ef, q_f - h_f)
+                                + 4 * _forbidden_rate(N, Ef, q_f - h_f / 2))
+            steps.append((q, h, action))
             q -= h
+        coarsest = int(mpmath.ldexp(mpf(10) ** -GUARD, P))
+        A = sum(action for *_, action in steps)
+        for q, h, action in steps:
+            A -= action         # at the step's inner end
+            advance(q, -h, inn, min(
+                tol << int(INWARD_RELAX / math.log(2) * A), coarsest))
 
         y_o, yp_o, y_i, yp_i = out[0], out[1], inn[0], inn[1]
         w = mpf(yp_o * y_i - y_o * yp_i)

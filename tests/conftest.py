@@ -3,7 +3,18 @@ the spectra it solved serve every test module."""
 
 import pytest
 
+from osczeta import numerics
 from osczeta.verify import run_battery
+
+
+@pytest.fixture(autouse=True)
+def cold_airy_grid():
+    """Every test starts and ends without a stored Airy march, so a test
+    that patches the Taylor kernel neither replays a grid marched before it
+    nor leaves its own behind."""
+    numerics._AIRY_GRIDS.clear()
+    yield
+    numerics._AIRY_GRIDS.clear()
 
 
 @pytest.fixture(scope="session")

@@ -80,6 +80,17 @@ class TestSpectrumCommand:
                   encoding="utf-8") as fh:
             assert capsys.readouterr().out == fh.read()
 
+    def test_shooting_levels_at_fifty_digits_byte_identical(self, capsys):
+        # 6 levels per parity of N = 2,3,4,6,10 asked for at 50 digits, as
+        # recorded before the inward steps were summed to their action; the
+        # CLI solves N >= 2 at SPECTRAL_DPS_CAP = 30 digits of those 50
+        assert run(["spectrum", "--N", "2,3,4,6,10", "--count", "6",
+                    "--digits", "50", "--format", "json"]) == 0
+        with open(os.path.join(os.path.dirname(__file__), "data",
+                               "spectrum_cli_50.json"),
+                  encoding="utf-8") as fh:
+            assert capsys.readouterr().out == fh.read()
+
     def test_csv_format(self, capsys):
         assert run(["spectrum", "--N", "2", "--count", "3",
                     "--digits", "15", "--format", "csv"]) == 0

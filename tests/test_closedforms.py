@@ -80,6 +80,20 @@ class TestCrossChecks:
                              [1, mp.inf])
             assert abs(z3 - direct) < mp.mpf("1e-40")
 
+    def test_airy_log_zetas_share_coefficients(self, monkeypatch):
+        # the series of Ai' is that of Ai shifted by one: both parities to
+        # order n_max take the n_max + 2 derivatives of Ai at 0, once each
+        calls = []
+        coefficient = cf.airy_taylor_coefficient
+
+        def counting(n, dps):
+            calls.append(n)
+            return coefficient(n, dps)
+
+        monkeypatch.setattr(cf, "airy_taylor_coefficient", counting)
+        cf.airy_log_zetas(12, 30)
+        assert calls == list(range(14))
+
     def test_airy_prime0_split(self):
         with mp.workdps(60):
             total = cf.zeta_prime0(1, "full", 55)

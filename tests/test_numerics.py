@@ -83,6 +83,13 @@ class TestIntegerSequences:
         assert bernoulli_number(12) == Fraction(-691, 2730)
         assert bernoulli_number(7) == 0
 
+    def test_bernoulli_against_mpmath(self):
+        # the tangent-number recurrence gives every B_n exactly, odd n and
+        # n = 1 included
+        for n in range(201):
+            p, q = mp.bernfrac(n)
+            assert bernoulli_number(n) == Fraction(int(p), int(q)), n
+
     def test_euler(self):
         assert [euler_number(n) for n in range(0, 9, 2)] == \
             [1, -1, 5, -61, 1385]
@@ -495,22 +502,74 @@ class TestAiryZeroMarch:
         zeros = airy_negative_zeros(60, deriv, dps)
         assert [list(z._mpf_) for z in zeros] == AIRY_ZERO_SNAPSHOT[key]
 
-    @pytest.mark.parametrize("deriv", [0, 1])
-    def test_taylor_steps_per_march(self, monkeypatch, deriv):
-        # about 93 grid steps to t = 27, then per zero 2 certificate steps;
-        # Newton runs on the grid step's own terms, with no kernel call
+    @staticmethod
+    def _count_kernel(monkeypatch, corrupt=None):
+        """Patch the Taylor kernel to record its calls, and to pass each
+        result through `corrupt(calls, out)` if given; returns the calls."""
         calls = []
         step = numerics._taylor_step
 
         def counting(*args):
             calls.append(args)
-            return step(*args)
+            out = step(*args)
+            return corrupt(calls, out) if corrupt else out
 
         monkeypatch.setattr(numerics, "_taylor_step", counting)
+        return calls
+
+    @pytest.mark.parametrize("deriv", [0, 1])
+    def test_taylor_steps_per_march(self, monkeypatch, deriv):
+        # on a cold store: the grid steps to t = 27, where the 30th zero
+        # lies, then one certificate step per zero; Newton runs on the grid
+        # step's own terms, with no kernel call
+        march = {0: 93, 1: 92}[deriv]
+        calls = self._count_kernel(monkeypatch)
         airy_negative_zeros(30, deriv, 45)
-        assert len(calls) <= 175
-        # a grid step keeps its terms, a certificate step does not
-        assert sum(args[5] is None for args in calls) == 2 * 30
+        grid, = numerics._AIRY_GRIDS.values()
+        assert len(grid) - 1 == march
+        assert len(calls) == march + 30
+
+    def test_second_parity_replays_the_march(self, monkeypatch):
+        # the zeros of Ai' interlace with those of Ai, so the 30 of Ai' lie
+        # on the grid that found 30 of Ai: at the same digits the second
+        # call takes no march step, only per zero one kernel step for its
+        # grid step's terms and one certificate step, and gets the zeros a
+        # cold march gets, bit for bit
+        airy_negative_zeros(30, 0, 45)
+        calls = self._count_kernel(monkeypatch)
+        replayed = airy_negative_zeros(30, 1, 45)
+        assert len(calls) == 2 * 30
+        numerics._AIRY_GRIDS.clear()
+        assert replayed == airy_negative_zeros(30, 1, 45)
+
+    def test_other_digits_march_anew(self, monkeypatch):
+        calls = self._count_kernel(monkeypatch)
+        airy_negative_zeros(5, 0, 31)
+        cold = len(calls)
+        numerics._AIRY_GRIDS.clear()
+        airy_negative_zeros(5, 0, 30)
+        calls.clear()
+        airy_negative_zeros(5, 0, 31)
+        assert len(calls) == cold
+
+    @pytest.mark.parametrize("deriv", [0, 1])
+    def test_corrupted_certificate_is_refused(self, monkeypatch, deriv):
+        # the certificate step of the first zero, the last kernel call,
+        # comes back with its value (or slope) negated: the sign at the
+        # upper end then matches the one its series gives at the lower end
+        # a cold call makes one kernel call per march step, then one for the
+        # certificate: as many as its grid has points
+        airy_negative_zeros(1, deriv, 30)
+        last = len(numerics._AIRY_GRIDS.popitem()[1])
+
+        def corrupted(calls, out):
+            if len(calls) == last:
+                out[deriv] = -out[deriv]
+            return out
+
+        self._count_kernel(monkeypatch, corrupted)
+        with pytest.raises(CertificationError, match="no sign change"):
+            airy_negative_zeros(1, deriv, 30)
 
     def test_spurious_sign_change_is_refused(self, monkeypatch):
         # the first grid step comes back with its value negated: the grid

@@ -330,6 +330,67 @@ class TestSolverRegression:
         ref = plus if parity == "+" else minus
         assert rec.eigenvalues == ref.eigenvalues[:3]
 
+    @pytest.mark.parametrize("dps", [30, 50])
+    @pytest.mark.parametrize("parity", spectrum.PARITIES)
+    @pytest.mark.parametrize("N", [2, 3, 6])
+    def test_relaxed_inward_steps_keep_every_bit(self, monkeypatch, N,
+                                                 parity, dps):
+        # inward steps summed to tol e^(1.8 A) give the eigenvalues that
+        # steps summed to tol everywhere give
+        relaxed = eigenvalues(N, parity, 3, dps)
+        monkeypatch.setattr(spectrum, "INWARD_RELAX", 0.0)
+        full = eigenvalues(N, parity, 3, dps)
+        assert [e._mpf_ for e in relaxed.eigenvalues] == \
+            [e._mpf_ for e in full.eigenvalues]
+
+    @staticmethod
+    def _shoot_terms(monkeypatch, E, dps):
+        """(outward, inward) Taylor terms per kernel call of one N = 3
+        shoot, and (tol_h, |h|) per call: u_3 = h^5 has the sign of h."""
+        outward, inward, tols = [], [], []
+        step = numerics._taylor_step
+
+        def counting(u, P, tol_h, starts, h2):
+            terms = []
+            out = step(u, P, tol_h, starts, h2, terms)
+            (inward if u[-1] < 0 else outward).append(len(terms))
+            tols.append((tol_h, math.isqrt(h2 << P)))
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(spectrum, "_taylor_step", counting)
+            spectrum._shoot(3, E, "+", dps)
+        return outward, inward, tols
+
+    def test_relaxed_inward_steps_sum_fewer_terms(self, monkeypatch):
+        # one certificate-grade shoot at 59 digits near level 1 of N = 3:
+        # the outward sweep and the last inward step, which ends on qm, sum
+        # the terms they summed before; the inward sweep sums fewer
+        E = mp.mpf("6.37029321718085429746105716156")
+        out, inn, _ = self._shoot_terms(monkeypatch, E, 59)
+        monkeypatch.setattr(spectrum, "INWARD_RELAX", 0.0)
+        out_full, inn_full, _ = self._shoot_terms(monkeypatch, E, 59)
+        assert out == out_full
+        assert inn[-1] == inn_full[-1]
+        assert all(a <= b for a, b in zip(inn, inn_full))
+        assert len(inn) == len(inn_full) and sum(inn) < sum(inn_full)
+
+    @pytest.mark.parametrize("dps", [8, 30, 59])
+    def test_no_step_coarser_than_guard(self, monkeypatch, dps):
+        # tol_h = tol |h|: no Taylor step of a shoot is summed coarser than
+        # 10^-GUARD.  Over half the action, e^(1.8 A) stays below 10^(0.9
+        # dps); an inward sweep over the full action reaches the bound
+        E = mp.mpf("6.37029321718085429746105716156")
+        _, _, tols = self._shoot_terms(monkeypatch, E, dps)
+        assert max(tol_h / h for tol_h, h in tols) < 1e-10 * 10 ** (-dps / 10)
+        choose = spectrum._choose_qmax
+        monkeypatch.setattr(
+            spectrum, "_choose_qmax",
+            lambda N, E, qm, decades: choose(N, E, qm, 2 * decades))
+        _, _, tols = self._shoot_terms(monkeypatch, E, dps)
+        assert 0.5e-10 <= max(tol_h / h for tol_h, h in tols) \
+            <= 1e-10 * (1 + 1e-9)
+
     def test_prediction_half_a_level_off(self, monkeypatch):
         # a window shifted by half the sector's level spacing puts the
         # level away from the centre shoots (or outside the first window)
