@@ -13,9 +13,9 @@ import mpmath as mp
 from fractions import Fraction
 
 from .errors import UnknownIdentifierError
-from .numerics import (airy_eval, airy_taylor_coefficient,
-                       alternating_hurwitz, euler_number, gamma,
-                       genocchi_number, hurwitz_many, hyper_4f3)
+from .numerics import (airy_taylor_coefficient, alternating_hurwitz,
+                       euler_number, gamma, genocchi_number, hurwitz_many,
+                       hyper_4f3)
 from .precision import DEFAULT_DPS, rounded, working
 
 F = Fraction
@@ -29,13 +29,13 @@ def rho_ratio(dps: int = DEFAULT_DPS):
 
 
 def rho_from_airy(dps: int = DEFAULT_DPS):
-    """rho = -Ai'(0)/Ai(0) from `airy_eval` at x = 0, which returns the
-    Taylor closed forms: 3^(1/3) Gamma(2/3) / Gamma(1/3).  It is independent
-    of `rho_ratio` through the Gamma formula (Gamma(1/3) here against
-    Gamma(2/3)^2 there, linked by the reflection formula), which is what
-    the mutual check tests."""
+    """rho = -Ai'(0)/Ai(0) from the Taylor closed forms of Ai at 0
+    (`airy_taylor_coefficient`): 3^(1/3) Gamma(2/3) / Gamma(1/3).  It is
+    independent of `rho_ratio` through the Gamma formula (Gamma(1/3) here
+    against Gamma(2/3)^2 there, linked by the reflection formula), which is
+    what the mutual check tests."""
     with working(dps):
-        v = -airy_eval(mp.mpf(0), 1, dps) / airy_eval(mp.mpf(0), 0, dps)
+        v = -airy_taylor_coefficient(1, dps) / airy_taylor_coefficient(0, dps)
     return rounded(v, dps)
 
 

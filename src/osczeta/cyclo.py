@@ -303,15 +303,6 @@ class CycloNumber:
                 p *= z
         return rounded(acc, dps)
 
-    def embed_real(self, dps: int = 50) -> mpmath.mpf:
-        """Numeric value assuming the element is real; checks the imaginary
-        part is at rounding level."""
-        z = self.embed(dps + 10)
-        scale = max(abs(z), mpmath.mpf(1))
-        if abs(z.imag) > scale * mpmath.mpf(10) ** (-dps - 5):
-            raise ValueError("element is not real")
-        return rounded(z.real, dps)
-
     def __repr__(self):
         return f"CycloNumber({self.m}, {self.text()})"
 
@@ -339,11 +330,6 @@ def rational(q) -> CycloNumber:
     return CycloNumber.from_rational(Fraction(q))
 
 
-def imaginary_unit() -> CycloNumber:
-    """i = zeta_4."""
-    return CycloNumber.zeta(4, 1)
-
-
 def exp_i_pi_frac(num: int, den: int) -> CycloNumber:
     """exp(i*pi*num/den) = zeta_{2*den}^{num} exactly."""
     return CycloNumber.zeta(2 * den, num)
@@ -353,12 +339,6 @@ def cos_pi_frac(num: int, den: int) -> CycloNumber:
     """cos(pi*num/den) as an exact cyclotomic element."""
     z = exp_i_pi_frac(num, den)
     return (z + z.conjugate()) * Fraction(1, 2)
-
-
-def two_i_sin_pi_frac(num: int, den: int) -> CycloNumber:
-    """2i*sin(pi*num/den) = zeta - zeta^{-1}; stays in Q(zeta_{2 den})."""
-    z = exp_i_pi_frac(num, den)
-    return z - z.conjugate()
 
 
 def sqrt2() -> CycloNumber:

@@ -1,7 +1,7 @@
 """Arbitrary-precision special functions and exact integer sequences.
 
-Gamma, Hurwitz zeta values and the alternating Hurwitz sum, the Airy
-function Ai and its derivative, the negative zeros of Ai and Ai', Bernoulli /
+Gamma, Hurwitz zeta values and the alternating Hurwitz sum, the Taylor
+coefficients of Ai at 0, the negative zeros of Ai and Ai', Bernoulli /
 Euler / Genocchi numbers, and the generalized hypergeometric 4F3 at unit
 argument.  Every value is determined by (inputs, dps); what is kept between
 calls (exact sequences, the grid of the last march of Ai(-t)) only saves
@@ -19,8 +19,8 @@ shooting sweep's rule below its turning point, 1/sqrt(max(t, 1)), and finds
 each zero by Newton on the Taylor series of the step that holds it.  Its
 grid points are kept for the last precision, so the zeros of Ai' replay the
 march that found those of Ai, or the other way round, and a kernel call is
-made only for the steps that hold a wanted zero.  Ai and Ai' (`airy_eval`)
-come from the same march, run to t = -x.
+made only for the steps that hold a wanted zero.  The package needs Ai
+itself only at 0; `mpmath.airyai` evaluates it anywhere.
 """
 
 from __future__ import annotations
@@ -487,49 +487,14 @@ def airy_taylor_coefficient(n: int, dps: int = DEFAULT_DPS):
     return rounded(val, dps)
 
 
-#: march budget of `airy_eval`: grid steps, and digits carried beyond dps
-#: for the recessive side (x > 0)
-AIRY_MAX_STEPS = 4096
-AIRY_MAX_EXTRA_DIGITS = 200
-
-
 def _airy_local(t, y, yp, s, P, tol, terms=None):
     """(y, y') at t + s from (y, y') at t for y(t) = Ai(-t), y'' = -t y: one
-    step of the Taylor kernel, all in fixed point 2^-P, s of either sign.
-    A list passed as `terms` receives the step's scaled Taylor terms."""
-    if s == 0:
-        return y, yp
+    step s > 0 of the Taylor kernel, all in fixed point 2^-P.  A list
+    passed as `terms` receives the step's scaled Taylor terms."""
     u = [-(t * s * s >> 2 * P), -(s * s * s >> 2 * P)]
-    val, hder = _taylor_step(u, P, tol * abs(s) >> P,
+    val, hder = _taylor_step(u, P, tol * s >> P,
                              [(y, yp * s >> P)], s * s >> P, terms)
     return val, (hder << P) // s
-
-
-def _airy_origin(P):
-    """(0, y, y') of y(t) = Ai(-t) at t = 0 in fixed point 2^-P, from Ai(0)
-    and Ai'(0) at the ambient precision."""
-    dps = mpmath.mp.dps
-    return (0, int(mpmath.ldexp(airy_taylor_coefficient(0, dps), P)),
-            -int(mpmath.ldexp(airy_taylor_coefficient(1, dps), P)))
-
-
-def _airy_march(P, tol, start, stop=None):
-    """The grid march of y(t) = Ai(-t) in fixed point 2^-P, at tolerance
-    `tol` of the Taylor kernel, from the grid point `start` = (t, y, y')
-    (`_airy_origin` for t = 0).  It takes steps h = 1/sqrt(max(|t|, 1)),
-    the rule of the shooting sweep below its turning point, toward `stop`
-    (the last step ends on it; negative for x > 0), or upward without end.
-    Yields (t, h, y, y', y at t + h, y' at t + h, d) for each step, d the
-    step's scaled Taylor terms: y(t + s) = sum_k d_k (s/h)^k on it."""
-    t, y, yp = start
-    while t != stop:
-        h = int(mpmath.ldexp(1 / math.sqrt(max(abs(t) / (1 << P), 1.0)), P))
-        if stop is not None:
-            h = min(h, stop - t) if stop > 0 else max(-h, stop - t)
-        d = []
-        y_b, yp_b = _airy_local(t, y, yp, h, P, tol, d)
-        yield t, h, y, yp, y_b, yp_b, d
-        t, y, yp = t + h, y_b, yp_b
 
 
 #: the grid points (t, y, y') of the last upward march of
@@ -538,71 +503,34 @@ _AIRY_GRIDS = {}
 
 
 def _airy_grid(P, tol):
-    """The upward march of y(t) = Ai(-t) at (P, tol), as `_airy_march`
-    yields it from t = 0, except that the steps of the stored grid come
-    back with d = None and cost no kernel call; past its last point the
-    march goes on and appends each new point.  The two parities march the
-    same function, so at one precision they share one march; a march at
-    another precision replaces the stored one."""
+    """The upward march of y(t) = Ai(-t) in fixed point 2^-P, at tolerance
+    `tol` of the Taylor kernel, from t = 0, where (y, y') come from Ai(0)
+    and Ai'(0) at the ambient precision.  It takes steps
+    h = 1/sqrt(max(t, 1)), the rule of the shooting sweep below its turning
+    point, and yields (t, h, y, y', y at t + h, y' at t + h, d) for each
+    step, d the step's scaled Taylor terms: y(t + s) = sum_k d_k (s/h)^k on
+    it.  The steps of the stored grid come back with d = None and cost no
+    kernel call; past its last point the march goes on and appends each new
+    point.  The two parities march the same function, so at one precision
+    they share one march; a march at another precision replaces the stored
+    one."""
     grid = _AIRY_GRIDS.get((P, tol))
     if grid is None:
         _AIRY_GRIDS.clear()
-        grid = _AIRY_GRIDS[P, tol] = [_airy_origin(P)]
+        dps = mpmath.mp.dps
+        grid = _AIRY_GRIDS[P, tol] = [
+            (0, int(mpmath.ldexp(airy_taylor_coefficient(0, dps), P)),
+             -int(mpmath.ldexp(airy_taylor_coefficient(1, dps), P)))]
     for (t, y, yp), (t_b, y_b, yp_b) in zip(grid, grid[1:]):
         yield t, t_b - t, y, yp, y_b, yp_b, None
-    for step in _airy_march(P, tol, grid[-1]):
-        t, h, _, _, y_b, yp_b, _ = step
+    t, y, yp = grid[-1]
+    while True:
+        h = int(mpmath.ldexp(1 / math.sqrt(max(t / (1 << P), 1.0)), P))
+        d = []
+        y_b, yp_b = _airy_local(t, y, yp, h, P, tol, d)
         grid.append((t + h, y_b, yp_b))
-        yield step
-
-
-def _airy_march_steps(a):
-    """Steps `_airy_march` takes to reach |t| = a > 0, at most: each step
-    advances n(t) = integral of 1/h = (2 |t|^(3/2) + 1)/3 (past |t| = 1) by
-    at least 1, because 1/h grows along it."""
-    return mpmath.ceil((2 * max(a, 1) ** 1.5 + 1) / 3)
-
-
-def airy_eval(x, derivative: int = 0, dps: int = DEFAULT_DPS):
-    """Ai(x) (derivative=0) or Ai'(x) (derivative=1) to dps digits, real x.
-
-    The march of `airy_negative_zeros` run from t = 0 to t = -x; at x = 0 it
-    takes no step and returns `airy_taylor_coefficient(derivative, dps)`.
-    For x > 0 it carries 2 xi / ln 10 extra digits, xi = (2/3) x^(3/2),
-    because an error grows like Bi/Ai ~ e^(2 xi) on the recessive side.
-    Supported are x whose march takes at most AIRY_MAX_STEPS steps of
-    h = 1/sqrt(max(|t|, 1)) (`_airy_march_steps`: about (2|x|^(3/2) + 1)/3,
-    so |x| <= 335) and needs at most AIRY_MAX_EXTRA_DIGITS extra digits
-    (x <= 49); beyond them PrecisionUnreachableError is raised before the
-    first step.  A non-finite x raises ValueError.
-    """
-    if derivative not in (0, 1):
-        raise ValueError("derivative must be 0 or 1")
-    with working(dps, 15):
-        x = mpmath.mpmathify(x)     # a string parses at working precision
-    if not mpmath.isfinite(x):
-        raise ValueError(f"airy_eval requires a finite x, got {x}")
-    # in mpf, whose exponent does not overflow at any finite x
-    steps = _airy_march_steps(abs(x))
-    xi = 2 * max(x, 0) ** 1.5 / 3
-    extra = mpmath.ceil(2 * xi / mpmath.ln10)
-    if steps > AIRY_MAX_STEPS or extra > AIRY_MAX_EXTRA_DIGITS:
-        raise PrecisionUnreachableError(
-            f"airy_eval at x = {mpmath.nstr(x, 8)} needs about "
-            f"{mpmath.nstr(steps, 3)} march steps and {mpmath.nstr(extra, 3)} "
-            f"extra digits (budget {AIRY_MAX_STEPS} and "
-            f"{AIRY_MAX_EXTRA_DIGITS})")
-    extra = int(extra)
-    with working(dps, 15 + extra):
-        P = mpmath.mp.prec + 8
-        stop = int(mpmath.ldexp(-x, P))
-        if stop == 0:
-            return airy_taylor_coefficient(derivative, dps)
-        tol = int(mpmath.ldexp(mpf(10) ** (-(dps + GUARD + 10 + extra)), P))
-        for *_, y, yp, _ in _airy_march(P, tol, _airy_origin(P), stop):
-            pass
-    with mpmath.workdps(dps):
-        return mpf((-yp if derivative else y, -P))
+        yield t, h, y, yp, y_b, yp_b, d
+        t, y, yp = t + h, y_b, yp_b
 
 
 def _series_at(d, th, P):
@@ -621,7 +549,7 @@ def airy_negative_zeros(count: int, derivative: int = 0,
     """Magnitudes of the first `count` negative zeros of Ai (or Ai'), in order.
 
     One march of y(t) = Ai(-t), y'' = -t y, from t = 0 on the integer Taylor
-    kernel with steps h = 1/sqrt(max(t, 1)) (`_airy_march`).  On a step
+    kernel with steps h = 1/sqrt(max(t, 1)) (`_airy_grid`).  On a step
     [t0, t0 + h] the Pruefer phase of y = r sin(theta), y' = r w cos(theta),
     w = sqrt(t0 + h), obeys 0 <= theta' = w cos^2 + (t/w) sin^2 <= w, so it
     rises by at most h sqrt(t0 + h) <= sqrt(2) rad < pi: a step holds at most

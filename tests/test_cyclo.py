@@ -12,11 +12,9 @@ from osczeta.cyclo import (
     cos_pi_frac,
     exp_i_pi_frac,
     golden_ratio,
-    imaginary_unit,
     rational,
     sqrt2,
     sqrt5,
-    two_i_sin_pi_frac,
 )
 from osczeta.sympoly import SymPoly, ZKind, ZSymbol
 
@@ -100,24 +98,17 @@ def test_named_surds():
     assert sqrt5() * sqrt5() == rational(5)
     phi = golden_ratio()
     assert phi * phi == phi + 1
-    assert imaginary_unit() ** 2 == rational(-1)
+    assert CycloNumber.zeta(4, 1) ** 2 == rational(-1)
 
 
 def test_trigonometric_constructors():
-    # cos(pi/5) = phi/2, and 2i sin / exp identities
+    # cos(pi/5) = phi/2, and exp identities
     assert cos_pi_frac(1, 5) * 2 == golden_ratio()
     z = exp_i_pi_frac(3, 8)
     assert z ** 16 == rational(1)
-    assert two_i_sin_pi_frac(1, 4) == z ** 0 * (exp_i_pi_frac(1, 4)
-                                                - exp_i_pi_frac(-1, 4))
     with mp.workdps(30):
-        assert abs(cos_pi_frac(2, 7).embed_real(25)
+        assert abs(cos_pi_frac(2, 7).embed(25).real
                    - mp.cos(2 * mp.pi / 7)) < mp.mpf("1e-20")
-
-
-def test_embed_real_rejects_complex():
-    with pytest.raises(ValueError):
-        imaginary_unit().embed_real(25)
 
 
 def test_rational_value():

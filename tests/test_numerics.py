@@ -3,7 +3,6 @@
 import json
 import math
 import os
-import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -21,7 +20,6 @@ from osczeta.errors import (
     TailBoundError,
 )
 from osczeta.numerics import (
-    airy_eval,
     airy_negative_zeros,
     airy_taylor_coefficient,
     alternating_hurwitz,
@@ -368,80 +366,6 @@ class TestAiry:
             assert airy_taylor_coefficient(2, 35) == 0
             assert airy_taylor_coefficient(5, 35) == 0
 
-    @pytest.mark.parametrize("x", ["-8.5", "-2", "0.7", "3", "5.9", "6.1", "9"])
-    @pytest.mark.parametrize("deriv", [0, 1])
-    def test_eval_against_mpmath(self, x, deriv):
-        with mp.workdps(40):
-            ref = mp.airyai(mp.mpf(x), derivative=deriv)
-            assert close(airy_eval(mp.mpf(x), deriv, 30), ref, "1e-27")
-
-    def test_switchover_continuity(self):
-        # one route on both sides of 6, where a series switchover once sat
-        with mp.workdps(40):
-            lo = airy_eval(mp.mpf("5.999"), 0, 30)
-            hi = airy_eval(mp.mpf("6.001"), 0, 30)
-            assert close(lo, mp.airyai(mp.mpf("5.999")), "1e-27")
-            assert close(hi, mp.airyai(mp.mpf("6.001")), "1e-27")
-
-    # deep on the negative axis the march takes about 190 steps and must
-    # keep every digit
-    @pytest.mark.parametrize("x", ["-20", "-25", "-27"])
-    @pytest.mark.parametrize("deriv", [0, 1])
-    def test_eval_deep_negative_axis(self, x, deriv):
-        with mp.workdps(130):
-            ref = mp.airyai(mp.mpf(x), derivative=deriv)
-            assert abs(airy_eval(mp.mpf(x), deriv, 100) / ref - 1) \
-                < mp.mpf("1e-97")
-
-    @pytest.mark.parametrize("deriv", [0, 1])
-    def test_eval_relative_on_positive_axis(self, deriv):
-        # on the recessive side an error in the march grows like Bi/Ai,
-        # about 1e24 at 12 and 1e52 at 20, before it ends
-        for x in (12, 20):
-            with mp.workdps(60):
-                ref = mp.airyai(x, derivative=deriv)
-                assert abs(airy_eval(mp.mpf(x), deriv, 30) / ref - 1) \
-                    < mp.mpf("1e-29")
-
-    @pytest.mark.parametrize("dps", [15, 20, 21, 30, 50, 55, 60, 100])
-    @pytest.mark.parametrize("deriv", [0, 1])
-    def test_eval_at_origin_is_taylor_coefficient(self, dps, deriv):
-        # rho_from_airy divides these two values; the battery's printed
-        # rho residual depends on their last bit
-        assert airy_eval(mp.mpf(0), deriv, dps)._mpf_ == \
-            airy_taylor_coefficient(deriv, dps)._mpf_
-
-    @pytest.mark.parametrize("x", [-20, -100, -200, 12, 40])
-    def test_march_step_estimate(self, monkeypatch, x):
-        # the budget's step estimate bounds the steps the march takes (one
-        # kernel call each), and by no more than 20%
-        calls = []
-        step = numerics._taylor_step
-
-        def counting(*args):
-            calls.append(args)
-            return step(*args)
-
-        monkeypatch.setattr(numerics, "_taylor_step", counting)
-        airy_eval(mp.mpf(x), 0, 15)
-        estimate = numerics._airy_march_steps(mp.mpf(abs(x)))
-        assert len(calls) <= estimate <= 1.2 * len(calls)
-
-    @pytest.mark.parametrize("x", ["-1e6", "1e6"])
-    def test_eval_beyond_march_budget_fails_fast(self, x):
-        start = time.perf_counter()
-        with pytest.raises(PrecisionUnreachableError):
-            airy_eval(mp.mpf(x), 0, 30)
-        assert time.perf_counter() - start < 1
-
-    @pytest.mark.parametrize("x", [mp.inf, -mp.inf, mp.nan, float("nan")],
-                             ids=["inf", "-inf", "nan", "float-nan"])
-    def test_eval_rejects_non_finite(self, x):
-        start = time.perf_counter()
-        with pytest.raises(ValueError):
-            airy_eval(x, 0, 30)
-        assert time.perf_counter() - start < 1
-
     @pytest.mark.parametrize("k", [1, 2, 5, 12])
     @pytest.mark.parametrize("deriv", [0, 1])
     def test_negative_zero(self, k, deriv):
@@ -459,6 +383,24 @@ class TestAiry:
                 approx = model.energy(2 * 40 - 1 - deriv)
                 assert close(approx, -mp.airyaizero(40, derivative=deriv),
                              "1e-15")
+
+    # deep on the negative axis the march of the 100-digit zeros must keep
+    # every digit of Ai and Ai', not only where they vanish: its grid
+    # point below t = -x, one kernel step on to t = -x
+    @pytest.mark.parametrize("x", ["-20", "-25", "-27"])
+    @pytest.mark.parametrize("deriv", [0, 1])
+    def test_eval_deep_negative_axis(self, x, deriv):
+        airy_negative_zeros(30, 0, 100)
+        ((P, tol),) = numerics._AIRY_GRIDS
+        stop = int(mp.ldexp(-mp.mpf(x), P))
+        for t, h, y, yp, *_ in numerics._airy_grid(P, tol):
+            if t + h > stop:
+                break
+        y, yp = numerics._airy_local(t, y, yp, stop - t, P, tol)
+        with mp.workdps(130):
+            ref = mp.airyai(mp.mpf(x), derivative=deriv)
+            assert abs(mp.mpf((-yp if deriv else y, -P)) / ref - 1) \
+                < mp.mpf("1e-97")
 
 
 class TestAiryZeroMarch:
@@ -480,6 +422,25 @@ class TestAiryZeroMarch:
             for k in (1, 13, 26, 30):
                 ref = -mp.airyaizero(k, derivative=deriv)
                 assert abs(zeros[k - 1] / ref - 1) < mp.mpf("1e-100")
+
+    def test_grid_points_against_mpmath(self):
+        # deep on the negative axis the march takes about 90 steps and must
+        # keep every digit: each stored point (t, y, y') of y(t) = Ai(-t),
+        # measured against the envelope |Ai| + |Ai'|/max(1, sqrt t) of the
+        # oscillation, whose slope grows like sqrt t
+        airy_negative_zeros(30, 0, 100)
+        (P, _), grid = next(iter(numerics._AIRY_GRIDS.items()))
+        assert grid[-1][0] >> P >= 26
+        with mp.workdps(130):
+            for t, y, yp in grid:
+                t = mp.mpf((t, -P))
+                ai = mp.airyai(-t)
+                dai = -mp.airyai(-t, derivative=1)
+                scale = max(1, mp.sqrt(t))
+                envelope = abs(ai) + abs(dai) / scale
+                err = max(abs(mp.mpf((y, -P)) - ai),
+                          abs(mp.mpf((yp, -P)) - dai) / scale)
+                assert err < mp.mpf("1e-100") * envelope, t
 
     @pytest.mark.parametrize("deriv", [0, 1])
     def test_hundred_zeros_in_order(self, deriv):

@@ -18,11 +18,9 @@ from osczeta.cyclo import (
     CycloNumber,
     cos_pi_frac,
     golden_ratio,
-    imaginary_unit,
     rational,
     sqrt2,
     sqrt5,
-    two_i_sin_pi_frac,
 )
 from osczeta.errors import (DerivationTooLargeError, EliminationError,
                             NotAMultipleError)
@@ -58,11 +56,15 @@ def solved(N, n):
     return solved_form(rules(N)[n])
 
 
+def two_i_sin(N, k):
+    """2i sin(k nu pi) = zeta^k - zeta^-k, zeta = exp(i pi/(N + 2))."""
+    m = 2 * (N + 2)
+    return CycloNumber.zeta(m, k) - CycloNumber.zeta(m, -k)
+
+
 def cot_sin(N, n):
     """cot(nu pi) sin(2n nu pi) as an exact cyclotomic number."""
-    den = N + 2
-    return cos_pi_frac(1, den) * two_i_sin_pi_frac(2 * n, den) \
-        / two_i_sin_pi_frac(1, den)
+    return cos_pi_frac(1, N + 2) * two_i_sin(N, 2 * n) / two_i_sin(N, 1)
 
 
 def cos2n(N, n):
@@ -104,7 +106,7 @@ class TestOrderZero:
         ident = rules(N)[0]
         assert ident.classification == "Zprime0"
         # sin(nu pi) = (zeta - zeta^-1)/(2i) in Q(zeta_{2(N+2)})
-        expect = two_i_sin_pi_frac(1, N + 2) / (imaginary_unit() * 2)
+        expect = two_i_sin(N, 1) / (CycloNumber.zeta(4, 1) * 2)
         assert ident.exp_rhs == expect
 
 
@@ -152,7 +154,7 @@ class TestCanonicalShape:
         for N in (3, 4, 5, 6):
             with mp.workdps(60):
                 zp1 = closed_form_eval("Z1.twisted", N, 55)
-                combo = 4 * cos_pi_frac(1, N + 2).embed_real(55) ** 2 \
+                combo = 4 * cos_pi_frac(1, N + 2).embed(55).real ** 2 \
                     * zp1 ** 2
                 ref = closed_form_eval("ZN2", N, 55)
                 assert abs(combo - ref) < mp.mpf("1e-45")
