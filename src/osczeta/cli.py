@@ -51,18 +51,25 @@ class RunConfig:
             raise ValueError("format must be text, json or csv")
 
 
-#: each setting as (RunConfig field, config key and command-line flag, parse)
-SETTINGS = (("digits", "digits", int), ("count", "count", int),
-            ("n_list", "N", lambda v: tuple(int(x) for x in v.split(","))),
-            ("parity", "parity", str), ("n_max", "nmax", int),
-            ("fmt", "format", str), ("out", "out", str))
+#: each setting by its config key and command-line flag, as (RunConfig
+#: field, parse, the flag's argparse keywords)
+SETTINGS = {
+    "N": ("n_list", lambda v: tuple(int(x) for x in v.split(",")),
+          {"help": "degree or comma list, e.g. 3 or 1,2,3,6"}),
+    "parity": ("parity", str, {"choices": ["+", "-", "both"]}),
+    "count": ("count", int, {"type": int, "help": "eigenvalues per parity"}),
+    "digits": ("digits", int, {"type": int, "help": "decimal precision"}),
+    "nmax": ("n_max", int, {"type": int, "help": "maximum zeta order"}),
+    "format": ("fmt", str, {"choices": ["text", "json", "csv"]}),
+    "out": ("out", str, {"help": "write output to this path"}),
+}
 
 
-def load_config_file(path: str) -> dict:
+def load_config_file(path: str, keys) -> dict:
     """Parse a simple `key = value` config file (comments with '#'); a key
-    that names no setting raises ValueError."""
+    outside `keys`, the settings of the command that reads the file, raises
+    ValueError."""
     out = {}
-    keys = {key for _, key, _ in SETTINGS}
     with open(path, encoding="utf-8") as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
@@ -72,17 +79,20 @@ def load_config_file(path: str) -> dict:
                 raise ValueError(f"bad config line: {raw.rstrip()}")
             key, val = (p.strip() for p in line.split("=", 1))
             if key not in keys:
-                raise ValueError(f"unknown config key {key!r} (known: "
-                                 f"{', '.join(sorted(keys))})")
+                raise ValueError(f"unknown config key {key!r} (this "
+                                 f"command takes: {', '.join(keys)})")
             out[key] = val
     return out
 
 
 def _config_from_args(args) -> RunConfig:
-    """A command-line flag wins over the config file's value."""
+    """The command's settings; a command-line flag wins over the config
+    file's value."""
     cfg = RunConfig()
-    filecfg = load_config_file(args.config) if args.config else {}
-    for field, key, parse in SETTINGS:
+    keys = _settings_of(args.command)
+    filecfg = load_config_file(args.config, keys) if args.config else {}
+    for key in keys:
+        field, parse, _ = SETTINGS[key]
         v = getattr(args, key)
         if v is None:
             v = filecfg.get(key)
@@ -105,12 +115,14 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     records = [eigenvalues(N, p, cfg.count, spectral_dps(N, cfg.digits))
                for N in cfg.n_list for p in parities]
     if cfg.fmt == "json":
-        _emit(cfg, json.dumps([json.loads(r.to_json()) for r in records],
+        _emit(cfg, json.dumps([{"N": r.N, "parity": r.parity,
+                                "eigenvalues": r.to_rows()} for r in records],
                               indent=2))
     elif cfg.fmt == "csv":
         lines = ["N,parity,k,eigenvalue,certified_digits"]
         for r in records:
-            lines.extend(r.to_csv().splitlines()[1:])
+            lines.extend(",".join(map(str, row.values()))
+                         for row in r.to_rows())
         _emit(cfg, "\n".join(lines))
     else:
         lines = []
@@ -224,19 +236,25 @@ def cmd_table(cfg: RunConfig) -> int:
     return 0
 
 
-#: each command as name: (help text, function, the formats it writes)
+#: each command as name: (help text, function, the formats it writes, the
+#: settings it reads)
 COMMANDS = {
     "spectrum": ("compute eigenvalues per (N, parity)", cmd_spectrum,
-                 ("text", "json", "csv")),
+                 ("text", "json", "csv"), ("N", "parity", "count", "digits")),
     "zeta": ("compute zeta values from spectra", cmd_zeta,
-             ("text", "json", "csv")),
+             ("text", "json", "csv"), ("N", "count", "digits", "nmax")),
     "derive": ("derive the exact sum rules symbolically", cmd_derive,
-               ("text", "json")),
+               ("text", "json"), ("N", "nmax")),
     "verify": ("run the cross-verification battery", cmd_verify,
-               ("text", "json")),
+               ("text", "json"), ("N", "count", "digits")),
     "table": ("render the classification table per (N, n)", cmd_table,
-              ("text",)),
+              ("text",), ("N", "nmax", "digits")),
 }
+
+
+def _settings_of(command: str) -> tuple:
+    """The settings a command takes: those it reads, then format and out."""
+    return COMMANDS[command][3] + ("format", "out")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -245,22 +263,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="spectral zeta functions and exact sum rules for "
                     "homogeneous oscillators -d2/dq2 + |q|^N")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (helptext, _, _) in COMMANDS.items():
+    for name, (helptext, *_) in COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
-        p.add_argument("--N", help="degree or comma list, e.g. 3 or 1,2,3,6")
-        p.add_argument("--parity", choices=["+", "-", "both"])
-        p.add_argument("--count", type=int, help="eigenvalues per parity")
-        p.add_argument("--digits", type=int, help="decimal precision")
-        p.add_argument("--nmax", type=int, help="maximum zeta order")
-        p.add_argument("--format", choices=["text", "json", "csv"])
-        p.add_argument("--out", help="write output to this path")
+        for key in _settings_of(name):
+            p.add_argument(f"--{key}", **SETTINGS[key][2])
         p.add_argument("--config", help="key = value config file")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _, command, formats = COMMANDS[args.command]
+    _, command, formats, _ = COMMANDS[args.command]
     try:
         cfg = _config_from_args(args)
         if cfg.fmt not in formats:

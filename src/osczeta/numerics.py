@@ -4,8 +4,7 @@ Gamma, Hurwitz zeta values and the alternating Hurwitz sum, the Taylor
 coefficients of Ai at 0, the negative zeros of Ai and Ai', Bernoulli /
 Euler / Genocchi numbers, and the generalized hypergeometric 4F3 at unit
 argument.  Every value is determined by (inputs, dps); what is kept between
-calls (exact sequences, the grid of the last march of Ai(-t)) only saves
-work.
+calls (exact sequences, the last pair of Airy zero lists) only saves work.
 
 Two integer fixed-point kernels live here.  The Taylor kernel,
 `_taylor_step`: the shooting solver of `spectrum` integrates on it, and so
@@ -16,11 +15,10 @@ forms, and the 4F3 tail: one batch in inverse powers of the index,
 certified by a second cut) is a batch of exponents at one shift on it, each
 value to a relative error of one ulp.  The march of Ai(-t) steps by the
 shooting sweep's rule below its turning point, 1/sqrt(max(t, 1)), and finds
-each zero by Newton on the Taylor series of the step that holds it.  Its
-grid points are kept for the last precision, so the zeros of Ai' replay the
-march that found those of Ai, or the other way round, and a kernel call is
-made only for the steps that hold a wanted zero.  The package needs Ai
-itself only at 0; `mpmath.airyai` evaluates it anywhere.
+each zero by Newton on the Taylor series of the step that holds it.  One
+march finds the zeros of Ai and of Ai' together, and the last pair is kept.
+The package needs Ai itself only at 0; `mpmath.airyai` evaluates it
+anywhere.
 """
 
 from __future__ import annotations
@@ -497,38 +495,22 @@ def _airy_local(t, y, yp, s, P, tol, terms=None):
     return val, (hder << P) // s
 
 
-#: the grid points (t, y, y') of the last upward march of
-#: `airy_negative_zeros`, under its (P, tol)
-_AIRY_GRIDS = {}
-
-
-def _airy_grid(P, tol):
+def _airy_march(P, tol):
     """The upward march of y(t) = Ai(-t) in fixed point 2^-P, at tolerance
     `tol` of the Taylor kernel, from t = 0, where (y, y') come from Ai(0)
     and Ai'(0) at the ambient precision.  It takes steps
     h = 1/sqrt(max(t, 1)), the rule of the shooting sweep below its turning
     point, and yields (t, h, y, y', y at t + h, y' at t + h, d) for each
     step, d the step's scaled Taylor terms: y(t + s) = sum_k d_k (s/h)^k on
-    it.  The steps of the stored grid come back with d = None and cost no
-    kernel call; past its last point the march goes on and appends each new
-    point.  The two parities march the same function, so at one precision
-    they share one march; a march at another precision replaces the stored
-    one."""
-    grid = _AIRY_GRIDS.get((P, tol))
-    if grid is None:
-        _AIRY_GRIDS.clear()
-        dps = mpmath.mp.dps
-        grid = _AIRY_GRIDS[P, tol] = [
-            (0, int(mpmath.ldexp(airy_taylor_coefficient(0, dps), P)),
-             -int(mpmath.ldexp(airy_taylor_coefficient(1, dps), P)))]
-    for (t, y, yp), (t_b, y_b, yp_b) in zip(grid, grid[1:]):
-        yield t, t_b - t, y, yp, y_b, yp_b, None
-    t, y, yp = grid[-1]
+    it."""
+    dps = mpmath.mp.dps
+    t = 0
+    y = int(mpmath.ldexp(airy_taylor_coefficient(0, dps), P))
+    yp = -int(mpmath.ldexp(airy_taylor_coefficient(1, dps), P))
     while True:
         h = int(mpmath.ldexp(1 / math.sqrt(max(t / (1 << P), 1.0)), P))
         d = []
         y_b, yp_b = _airy_local(t, y, yp, h, P, tol, d)
-        grid.append((t + h, y_b, yp_b))
         yield t, h, y, yp, y_b, yp_b, d
         t, y, yp = t + h, y_b, yp_b
 
@@ -549,35 +531,43 @@ def airy_negative_zeros(count: int, derivative: int = 0,
     """Magnitudes of the first `count` negative zeros of Ai (or Ai'), in order.
 
     One march of y(t) = Ai(-t), y'' = -t y, from t = 0 on the integer Taylor
-    kernel with steps h = 1/sqrt(max(t, 1)) (`_airy_grid`).  On a step
+    kernel with steps h = 1/sqrt(max(t, 1)) (`_airy_march`).  On a step
     [t0, t0 + h] the Pruefer phase of y = r sin(theta), y' = r w cos(theta),
     w = sqrt(t0 + h), obeys 0 <= theta' = w cos^2 + (t/w) sin^2 <= w, so it
     rises by at most h sqrt(t0 + h) <= sqrt(2) rad < pi: a step holds at most
     one zero of y and one of y', and the k-th sign change of y (or y') on
-    the grid is the k-th zero.  Both parities march the same y, so the grid
-    is kept by precision (`_airy_grid`): a call at digits already marched
-    replays it, and only a step that holds a sign change of the function it
-    wants costs a kernel call, for its Taylor terms.  Each zero is found by
-    Newton on the Taylor series of its own grid step, from the secant of
-    the step's ends, in the same fixed point; then it is certified by a
-    sign change across x (1 +- 10^-(dps+4)/4): one kernel step from the
-    start of its grid step to the upper end gives the sign there, and the
-    same step's series, by Horner, the sign at the lower end.  An iterate
-    that leaves its grid step, a missing sign change, or a march (replayed
-    or new) that runs past the asymptotic place of its last zero raises
+    the march is the k-th zero.  Both parities march the same y, so one
+    march finds the zeros of both (`_airy_zero_pair`), and the last pair is
+    kept.  Each zero is found by Newton on the Taylor series of its own
+    march step, from the secant of the step's ends, in the same fixed point;
+    then it is certified by a sign change across x (1 +- 10^-(dps+4)/4): one
+    kernel step from the start of its march step to the upper end gives the
+    sign there, and the same step's series, by Horner, the sign at the lower
+    end.  An iterate that leaves its march step, a missing sign change, or a
+    march that runs past the asymptotic place of its last zero raises
     CertificationError.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     if derivative not in (0, 1):
         raise ValueError("derivative must be 0 or 1")
+    return list(_airy_zero_pair(count, dps)[derivative])
+
+
+@lru_cache(maxsize=1)
+def _airy_zero_pair(count: int, dps: int) -> tuple:
+    """(zeros of Ai, zeros of Ai'), the first `count` of each, from one
+    march that tests each step for both: every caller asks for both parities
+    at the same (count, dps)."""
+    names = ("Ai(-t)", "Ai'(-t)")
+    pair = ([], [])
     with working(dps, 15) as ctx:
         P = ctx.prec + 8
         tol = int(mpmath.ldexp(mpf(10) ** (-(dps + GUARD + 10)), P))
         delta = int(mpmath.ldexp(mpf(10) ** (-(dps + 4)) / 4, P))
 
-        def root(t, h, y, yp, d, s):
-            """Zero of y (or y') in the grid step [t, t + h], from t + s,
+        def root(derivative, t, h, y, yp, d, s):
+            """Zero of y (or y') in the march step [t, t + h], from t + s,
             by Newton on the step's series y(t + s) = sum_k d_k (s/h)^k."""
             for _ in range(60):
                 f, g = _series_at(d, (s << P) // h, P)
@@ -600,29 +590,28 @@ def airy_negative_zeros(count: int, derivative: int = 0,
             lo = _series_at(e, ((s - dx) << P) // (s + dx), P)[derivative]
             if lo * hi > 0:
                 raise CertificationError(
-                    f"no sign change around zero {len(zeros) + 1} of "
-                    + ("Ai'(-t)" if derivative else "Ai(-t)"))
+                    f"no sign change around zero {len(pair[derivative]) + 1} "
+                    f"of {names[derivative]}")
             return x
 
-        zeros = []
-        # the asymptotic zeros (3 pi/8 (4k - 1))^(2/3) bound where the march
-        # must have met them all; a march that runs past has lost its solution
+        # the asymptotic zeros (3 pi/8 (4k - 1))^(2/3) of Ai, which lie above
+        # those of Ai', bound where the march must have met them all; a march
+        # that runs past has lost its solution
         t_end = int(mpmath.ldexp((1.5 * math.pi * count) ** (2 / 3) + 2, P))
-        for t, h, y, yp, y_b, yp_b, d in _airy_grid(P, tol):
+        for t, h, y, yp, y_b, yp_b, d in _airy_march(P, tol):
             if t > t_end:
+                short = 0 if len(pair[0]) < count else 1
                 raise CertificationError(
-                    f"Airy march found {len(zeros)} of {count} zeros by "
-                    f"t = {t / (1 << P):.6g}")
-            fa, fb = (y, y_b) if derivative == 0 else (yp, yp_b)
-            if (fa < 0) != (fb < 0):
-                if d is None:
-                    d = []
-                    _airy_local(t, y, yp, h, P, tol, d)
-                zeros.append(root(t, h, y, yp, d, h * fa // (fa - fb)))
-                if len(zeros) == count:
-                    break
+                    f"Airy march found {len(pair[short])} of {count} zeros "
+                    f"of {names[short]} by t = {t / (1 << P):.6g}")
+            for derivative, (fa, fb) in enumerate(((y, y_b), (yp, yp_b))):
+                if len(pair[derivative]) < count and (fa < 0) != (fb < 0):
+                    pair[derivative].append(root(derivative, t, h, y, yp, d,
+                                                 h * fa // (fa - fb)))
+            if len(pair[0]) == len(pair[1]) == count:
+                break
     with mpmath.workdps(dps):
-        return [mpf((x, -P)) for x in zeros]
+        return tuple(tuple(mpf((x, -P)) for x in zeros) for zeros in pair)
 
 
 # --------------------------------------------------------------------------

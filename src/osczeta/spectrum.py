@@ -34,21 +34,19 @@ eigenfunction nodes below it.
 
 For N=1 the odd/even eigenvalues are exactly the negated zeros of Ai / Ai',
 and the solver takes that fast path: `numerics.airy_negative_zeros` marches
-Ai(-t) through all of them on the same kernel, one call per parity, in the
-outward sweep's steps below the turning point, 1/sqrt(max(t, 1)), which the
-same Pruefer bound keeps below sqrt(2) rad.  Both parities march the same
-function, so the second parity at the same digits replays the first one's
-grid.  It finds each zero by Newton on the Taylor series of the step that
-holds it, certifies it by a sign change across it from one kernel step and
-that step's series, and its index by its place in the march.
+Ai(-t) through all of them on the same kernel, in the outward sweep's steps
+below the turning point, 1/sqrt(max(t, 1)), which the same Pruefer bound
+keeps below sqrt(2) rad.  Both parities are zeros of the same function or
+its derivative, so one march finds both, and the second parity at the same
+count and digits costs no kernel call.  It finds each zero by Newton on the
+Taylor series of the step that holds it, certifies it by a sign change
+across it from one kernel step and that step's series, and its index by its
+place in the march.
 """
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-import io
-import json
 import math
 
 import mpmath
@@ -100,18 +98,6 @@ class SpectrumRecord:
             for j, (e, d) in enumerate(zip(self.eigenvalues,
                                            self.certified_digits))
         ]
-
-    def to_json(self) -> str:
-        return json.dumps({"N": self.N, "parity": self.parity,
-                           "eigenvalues": self.to_rows()}, indent=2)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.DictWriter(
-            buf, fieldnames=["N", "parity", "k", "E", "certified_digits"])
-        writer.writeheader()
-        writer.writerows(self.to_rows())
-        return buf.getvalue()
 
 
 def merged_spectrum(plus: SpectrumRecord, minus: SpectrumRecord):

@@ -73,6 +73,18 @@ def bohr_sommerfeld_b0(N: int, dps: int = DEFAULT_DPS):
     return rounded(val, dps)
 
 
+def bohr_sommerfeld_b1(N: int, dps: int = DEFAULT_DPS):
+    """First correction to the action in the counting relation:
+    b1 = -(N-1)(N-2)/(12N) B(1 - 1/N, 1/2), from the second WKB term of
+    |q|^N; 0 for the harmonic N = 2."""
+    if N < 2:
+        raise ValueError("N must be >= 2")
+    with working(dps):
+        val = -mpf((N - 1) * (N - 2)) / (12 * N) \
+            * mpmath.beta(1 - mpf(1) / N, mpf(1) / 2)
+    return rounded(val, dps)
+
+
 @dataclasses.dataclass(frozen=True)
 class BohrSommerfeldCoeffs:
     """Counting-function coefficients 2*pi*N(E) ~ b0 E^mu + b1 E^(-mu)."""
@@ -86,15 +98,9 @@ class BohrSommerfeldCoeffs:
         with working(dps):
             mu = mpf(N + 2) / (2 * N)
             b0 = bohr_sommerfeld_b0(N, dps)
-            if N == 2:
-                b1 = mpf(0)  # harmonic counting is exactly linear
-            elif N == 3:
-                b1 = -mpmath.power(2, mpf(4) / 3) / 9 * mpmath.pi ** 2 \
-                    / mpmath.gamma(mpf(1) / 3) ** 3
-            else:
-                b1 = None
-        return BohrSommerfeldCoeffs(N, rounded(mu, dps), b0,
-                                    rounded(b1, dps) if b1 is not None else None)
+        # for N >= 4 the tail fit still finds b1 itself
+        b1 = bohr_sommerfeld_b1(N, dps) if N in (2, 3) else None
+        return BohrSommerfeldCoeffs(N, rounded(mu, dps), b0, b1)
 
 
 @dataclasses.dataclass(frozen=True)

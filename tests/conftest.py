@@ -8,13 +8,13 @@ from osczeta.verify import run_battery
 
 
 @pytest.fixture(autouse=True)
-def cold_airy_grid():
-    """Every test starts and ends without a stored Airy march, so a test
-    that patches the Taylor kernel neither replays a grid marched before it
-    nor leaves its own behind."""
-    numerics._AIRY_GRIDS.clear()
+def cold_airy_zeros():
+    """Every test starts and ends without a kept pair of Airy zero lists, so
+    a test that patches the Taylor kernel neither reads zeros marched before
+    it nor leaves its own behind."""
+    numerics._airy_zero_pair.cache_clear()
     yield
-    numerics._AIRY_GRIDS.clear()
+    numerics._airy_zero_pair.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -80,6 +80,18 @@ class TestSpectrumCommand:
                   encoding="utf-8") as fh:
             assert capsys.readouterr().out == fh.read()
 
+    @pytest.mark.parametrize("parity", ["+", "-"])
+    def test_airy_single_parity_byte_identical(self, parity, capsys):
+        # one parity alone prints its record of the pinned pair, byte for
+        # byte
+        assert run(["spectrum", "--N", "1", "--parity", parity, "--count",
+                    "100", "--digits", "45", "--format", "json"]) == 0
+        with open(os.path.join(os.path.dirname(__file__), "data",
+                               "spectrum_cli_airy.json"),
+                  encoding="utf-8") as fh:
+            record, = [r for r in json.load(fh) if r["parity"] == parity]
+        assert capsys.readouterr().out == json.dumps([record], indent=2) + "\n"
+
     def test_shooting_levels_at_fifty_digits_byte_identical(self, capsys):
         # 6 levels per parity of N = 2,3,4,6,10 asked for at 50 digits, as
         # recorded before the inward steps were summed to their action; the
@@ -323,6 +335,27 @@ class TestConfigHandling:
             assert captured.out == ""
             assert f"{command} cannot write format '{fmt}'" in captured.err
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("spectrum", "nmax", "2"), ("zeta", "parity", "+"),
+        ("derive", "parity", "+"), ("derive", "count", "3"),
+        ("derive", "digits", "20"), ("verify", "parity", "+"),
+        ("verify", "nmax", "2"), ("table", "parity", "+"),
+        ("table", "count", "3")])
+    def test_unread_setting_rejected(self, command, key, value, tmp_path,
+                                     capsys):
+        # a setting the command never reads, from a flag or from a config
+        # file: exit 2 before any work, and the message names it
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--N", "2", f"--{key}", value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"--{key}" in captured.err
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"N = 2\n{key} = {value}\n")
+        assert run([command, "--config", str(cfgfile)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"'{key}'" in captured.err
+
     def test_missing_config_file(self, capsys):
         assert run(["spectrum", "--config", "/nonexistent/path.cfg"]) == 2
 
@@ -366,7 +399,7 @@ class TestConfigHandling:
     @given(text=st.lists(st.one_of(
         st.text(st.characters(blacklist_categories=("Cs",))),
         st.builds("{} = {}".format,
-                  st.sampled_from([key for _, key, _ in cli.SETTINGS]),
+                  st.sampled_from(list(cli.SETTINGS)),
                   st.text(st.characters(blacklist_categories=("Cs",)))))
     ).map("\n".join))
     @settings(max_examples=200, deadline=None)

@@ -59,6 +59,22 @@ def close(a, b, eps):
     return abs(mp.mpmathify(a) - mp.mpmathify(b)) < mp.mpf(eps)
 
 
+def airy_march_precision(monkeypatch, dps):
+    """(P, tol, working digits) of the march of Ai(-t) that
+    `airy_negative_zeros(30, 0, dps)` runs: a fresh `_airy_march(P, tol)`,
+    iterated inside `mp.workdps` of those digits, walks the same march."""
+    march, seen = numerics._airy_march, []
+
+    def spy(P, tol):
+        seen.append((P, tol, mp.mp.dps))
+        return march(P, tol)
+
+    monkeypatch.setattr(numerics, "_airy_march", spy)
+    airy_negative_zeros(30, 0, dps)
+    (P, tol, working_dps), = seen
+    return P, tol, working_dps
+
+
 class TestGamma:
     def test_half_integer(self):
         with mp.workdps(40):
@@ -385,17 +401,17 @@ class TestAiry:
                              "1e-15")
 
     # deep on the negative axis the march of the 100-digit zeros must keep
-    # every digit of Ai and Ai', not only where they vanish: its grid
-    # point below t = -x, one kernel step on to t = -x
+    # every digit of Ai and Ai', not only where they vanish: its step start
+    # below t = -x, one kernel step on to t = -x
     @pytest.mark.parametrize("x", ["-20", "-25", "-27"])
     @pytest.mark.parametrize("deriv", [0, 1])
-    def test_eval_deep_negative_axis(self, x, deriv):
-        airy_negative_zeros(30, 0, 100)
-        ((P, tol),) = numerics._AIRY_GRIDS
+    def test_eval_deep_negative_axis(self, monkeypatch, x, deriv):
+        P, tol, working_dps = airy_march_precision(monkeypatch, 100)
         stop = int(mp.ldexp(-mp.mpf(x), P))
-        for t, h, y, yp, *_ in numerics._airy_grid(P, tol):
-            if t + h > stop:
-                break
+        with mp.workdps(working_dps):
+            for t, h, y, yp, *_ in numerics._airy_march(P, tol):
+                if t + h > stop:
+                    break
         y, yp = numerics._airy_local(t, y, yp, stop - t, P, tol)
         with mp.workdps(130):
             ref = mp.airyai(mp.mpf(x), derivative=deriv)
@@ -423,14 +439,21 @@ class TestAiryZeroMarch:
                 ref = -mp.airyaizero(k, derivative=deriv)
                 assert abs(zeros[k - 1] / ref - 1) < mp.mpf("1e-100")
 
-    def test_grid_points_against_mpmath(self):
+    def test_grid_points_against_mpmath(self, monkeypatch):
         # deep on the negative axis the march takes about 90 steps and must
-        # keep every digit: each stored point (t, y, y') of y(t) = Ai(-t),
-        # measured against the envelope |Ai| + |Ai'|/max(1, sqrt t) of the
-        # oscillation, whose slope grows like sqrt t
-        airy_negative_zeros(30, 0, 100)
-        (P, _), grid = next(iter(numerics._AIRY_GRIDS.items()))
-        assert grid[-1][0] >> P >= 26
+        # keep every digit: each point (t, y, y') of y(t) = Ai(-t) up to the
+        # first past t = 27, beyond the 30th zero of Ai, measured against
+        # the envelope |Ai| + |Ai'|/max(1, sqrt t) of the oscillation, whose
+        # slope grows like sqrt t
+        P, tol, working_dps = airy_march_precision(monkeypatch, 100)
+        grid = []
+        with mp.workdps(working_dps):
+            for t, h, y, yp, y_b, yp_b, _ in numerics._airy_march(P, tol):
+                grid.append((t, y, yp))
+                if t + h > 27 << P:
+                    grid.append((t + h, y_b, yp_b))
+                    break
+        assert len(grid) > 90
         with mp.workdps(130):
             for t, y, yp in grid:
                 t = mp.mpf((t, -P))
@@ -480,51 +503,67 @@ class TestAiryZeroMarch:
 
     @pytest.mark.parametrize("deriv", [0, 1])
     def test_taylor_steps_per_march(self, monkeypatch, deriv):
-        # on a cold store: the grid steps to t = 27, where the 30th zero
-        # lies, then one certificate step per zero; Newton runs on the grid
-        # step's own terms, with no kernel call
-        march = {0: 93, 1: 92}[deriv]
+        # from a cold start, for either parity: the march steps to t = 27,
+        # where the 30th zero of Ai lies, past the 30th of Ai', then one
+        # certificate step per zero of each; Newton runs on the march step's
+        # own terms, with no kernel call
         calls = self._count_kernel(monkeypatch)
-        airy_negative_zeros(30, deriv, 45)
-        grid, = numerics._AIRY_GRIDS.values()
-        assert len(grid) - 1 == march
-        assert len(calls) == march + 30
+        march, steps = numerics._airy_march, []
 
-    def test_second_parity_replays_the_march(self, monkeypatch):
-        # the zeros of Ai' interlace with those of Ai, so the 30 of Ai' lie
-        # on the grid that found 30 of Ai: at the same digits the second
-        # call takes no march step, only per zero one kernel step for its
-        # grid step's terms and one certificate step, and gets the zeros a
-        # cold march gets, bit for bit
-        airy_negative_zeros(30, 0, 45)
+        def counting(P, tol):
+            for step in march(P, tol):
+                steps.append(step[0])
+                yield step
+
+        monkeypatch.setattr(numerics, "_airy_march", counting)
+        airy_negative_zeros(30, deriv, 45)
+        assert len(steps) == 93
+        assert len(calls) == 93 + 2 * 30
+
+    def test_second_parity_makes_no_kernel_call(self, monkeypatch):
+        # one march found both parities' zeros: at the same (count, digits)
+        # the other parity takes no kernel call, and gets the zeros a cold
+        # call gets, bit for bit
         calls = self._count_kernel(monkeypatch)
-        replayed = airy_negative_zeros(30, 1, 45)
-        assert len(calls) == 2 * 30
-        numerics._AIRY_GRIDS.clear()
-        assert replayed == airy_negative_zeros(30, 1, 45)
+        for deriv in (0, 1):
+            numerics._airy_zero_pair.cache_clear()
+            airy_negative_zeros(30, deriv, 45)
+            calls.clear()
+            kept = airy_negative_zeros(30, 1 - deriv, 45)
+            assert not calls
+            numerics._airy_zero_pair.cache_clear()
+            cold = airy_negative_zeros(30, 1 - deriv, 45)
+            assert [z._mpf_ for z in kept] == [z._mpf_ for z in cold]
 
     def test_other_digits_march_anew(self, monkeypatch):
+        # only the last (count, digits) is kept: another one in between
+        # makes the first march anew
         calls = self._count_kernel(monkeypatch)
         airy_negative_zeros(5, 0, 31)
         cold = len(calls)
-        numerics._AIRY_GRIDS.clear()
-        airy_negative_zeros(5, 0, 30)
-        calls.clear()
-        airy_negative_zeros(5, 0, 31)
-        assert len(calls) == cold
+        for other in ((5, 30), (6, 31)):
+            airy_negative_zeros(other[0], 0, other[1])
+            calls.clear()
+            airy_negative_zeros(5, 0, 31)
+            assert len(calls) == cold
 
     @pytest.mark.parametrize("deriv", [0, 1])
     def test_corrupted_certificate_is_refused(self, monkeypatch, deriv):
-        # the certificate step of the first zero, the last kernel call,
+        # the certificate step of the first zero of the parity under test
         # comes back with its value (or slope) negated: the sign at the
-        # upper end then matches the one its series gives at the lower end
-        # a cold call makes one kernel call per march step, then one for the
-        # certificate: as many as its grid has points
+        # upper end then matches the one its series gives at the lower end.
+        # A cold call for one zero makes five kernel calls: the march steps
+        # [0, 1] and [1, 2], which holds a'_1 = 1.02, the certificate of
+        # a'_1, the march step [2, 2.71], which holds a_1 = 2.34, and the
+        # certificate of a_1
+        calls = self._count_kernel(monkeypatch)
         airy_negative_zeros(1, deriv, 30)
-        last = len(numerics._AIRY_GRIDS.popitem()[1])
+        assert len(calls) == 5
+        numerics._airy_zero_pair.cache_clear()
+        certificate = {0: 5, 1: 3}[deriv]
 
         def corrupted(calls, out):
-            if len(calls) == last:
+            if len(calls) == certificate:
                 out[deriv] = -out[deriv]
             return out
 

@@ -17,6 +17,7 @@ from osczeta.errors import (
 from osczeta.zetafns import (
     BohrSommerfeldCoeffs,
     bohr_sommerfeld_b0,
+    bohr_sommerfeld_b1,
     determinant_series,
     functional_eq_residual,
     zeta_em,
@@ -53,6 +54,43 @@ class TestBohrSommerfeld:
     def test_cubic_b1_negative(self):
         c = BohrSommerfeldCoeffs.compute(3, 30)
         assert c.b1 < 0
+
+    @pytest.mark.parametrize("dps", [15, 20, 21, 30, 45, 50, 60, 100])
+    def test_b1_cubic_bit_identical_to_gamma_form(self, dps):
+        # the Gamma closed form the N = 3 coefficient had before the Beta
+        # formula covered every N: -2^(4/3) pi^2 / (9 Gamma(1/3)^3)
+        with mp.workdps(dps + 10):
+            ref = -mp.power(2, mp.mpf(4) / 3) / 9 * mp.pi ** 2 \
+                / mp.gamma(mp.mpf(1) / 3) ** 3
+        with mp.workdps(dps):
+            ref = +ref
+        assert bohr_sommerfeld_b1(3, dps)._mpf_ == ref._mpf_
+        assert BohrSommerfeldCoeffs.compute(3, dps).b1._mpf_ == ref._mpf_
+
+    def test_b1_harmonic_is_exactly_zero(self):
+        assert bohr_sommerfeld_b1(2, 30)._mpf_ == mp.mpf(0)._mpf_
+
+    def test_b1_sextic_against_fitted_spectrum(self, spectra6):
+        # with b0 exact, b1, b2 and b3 of the counting relation
+        # 2 pi (k + 1/2) = b0 E^mu + b1 E^-mu + b2 E^-3mu + b3 E^-5mu solved
+        # from the top three levels of each parity agree with the exact b1
+        N = 6
+        with mp.workdps(30):
+            b0, b1 = bohr_sommerfeld_b0(N, 30), bohr_sommerfeld_b1(N, 30)
+            mu = mp.mpf(N + 2) / (2 * N)
+            for rec in spectra6:
+                top = [(rec.full_index(j), e)
+                       for j, e in enumerate(rec.eigenvalues)][-3:]
+                rows = mp.matrix([[e ** (-(2 * i + 1) * mu) for i in range(3)]
+                                  for _, e in top])
+                rhs = mp.matrix([2 * mp.pi * (k + mp.mpf(1) / 2) - b0 * e ** mu
+                                 for k, e in top])
+                fitted = mp.lu_solve(rows, rhs)[0]
+                assert abs(fitted / b1 - 1) < mp.mpf("1e-7"), rec.parity
+
+    def test_b1_needs_n_at_least_two(self):
+        with pytest.raises(ValueError):
+            bohr_sommerfeld_b1(1, 30)
 
 
 class TestZetaEM:
