@@ -1,17 +1,19 @@
 """Command-line harness: compute spectra and zeta tables, derive the exact
 sum rules, run the verification battery, and render classification tables.
 
-Exit codes: 0 all requested work succeeded (and all checks passed for
-`verify`), 1 verification failures, 2 configuration, computation or output
-errors.
+One argparse parser reads flags and config files alike: a file's `key =
+value` lines are read as `--key=value` flags (see `parse_args`).  `main`
+returns the exit code and never raises SystemExit: 0 all requested work
+succeeded (and all checks passed for `verify`) or `--help`, 1 verification
+failures, 2 configuration, computation or output errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
+from argparse import ArgumentTypeError
 
 import mpmath as mp
 
@@ -23,133 +25,104 @@ from .sumrules import (autonomous_full_identities, classify_lhs,
                        derive_sum_rules, symmetry_order)
 from .verify import compute_spectra, em_zeta_table, run_battery, spectral_dps
 
-DEFAULT_N_LIST = (1, 2, 3, 6)
+def _int_in(lo: int, hi: float = float("inf")):
+    """An argparse type: an integer in [lo, hi]."""
+    def integer(text):
+        value = int(text)
+        if not lo <= value <= hi:
+            raise ArgumentTypeError(f"{value} is not in [{lo}, {hi}]")
+        return value
+    return integer
 
 
-@dataclasses.dataclass
-class RunConfig:
-    digits: int = DEFAULT_DPS
-    count: int = 12
-    n_list: tuple = DEFAULT_N_LIST
-    parity: str = "both"
-    n_max: int = 8
-    fmt: str = "text"
-    out: str = None
-
-    def validate(self):
-        if self.digits < 5 or self.digits > 1000:
-            raise ValueError("digits must be in [5, 1000]")
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
-        if any(N < 1 for N in self.n_list):
-            raise ValueError("N must be >= 1")
-        if self.parity not in ("+", "-", "both"):
-            raise ValueError("parity must be '+', '-' or 'both'")
-        if self.n_max < 0:
-            raise ValueError("nmax must be >= 0")
-        if self.fmt not in ("text", "json", "csv"):
-            raise ValueError("format must be text, json or csv")
+def _degrees(text: str) -> tuple:
+    """An argparse type: a degree or a comma list of them, each >= 1."""
+    return tuple(map(_int_in(1), text.split(",")))
 
 
-#: each setting by its config key and command-line flag, as (RunConfig
-#: field, parse, the flag's argparse keywords)
+#: each setting a command may read, by its flag and config key, as its
+#: argparse keywords
 SETTINGS = {
-    "N": ("n_list", lambda v: tuple(int(x) for x in v.split(",")),
-          {"help": "degree or comma list, e.g. 3 or 1,2,3,6"}),
-    "parity": ("parity", str, {"choices": ["+", "-", "both"]}),
-    "count": ("count", int, {"type": int, "help": "eigenvalues per parity"}),
-    "digits": ("digits", int, {"type": int, "help": "decimal precision"}),
-    "nmax": ("n_max", int, {"type": int, "help": "maximum zeta order"}),
-    "format": ("fmt", str, {"choices": ["text", "json", "csv"]}),
-    "out": ("out", str, {"help": "write output to this path"}),
+    "N": {"type": _degrees, "default": (1, 2, 3, 6),
+          "help": "degree or comma list, e.g. 3 or 1,2,3,6"},
+    "parity": {"choices": ["+", "-", "both"], "default": "both"},
+    "count": {"type": _int_in(1), "default": 12,
+              "help": "eigenvalues per parity"},
+    "digits": {"type": _int_in(5, 1000), "default": DEFAULT_DPS,
+               "help": "decimal precision"},
+    "nmax": {"type": _int_in(0), "default": 8, "help": "maximum zeta order"},
 }
 
 
-def load_config_file(path: str, keys) -> dict:
-    """Parse a simple `key = value` config file (comments with '#'); a key
-    outside `keys`, the settings of the command that reads the file, raises
-    ValueError."""
-    out = {}
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"bad config line: {raw.rstrip()}")
-            key, val = (p.strip() for p in line.split("=", 1))
-            if key not in keys:
-                raise ValueError(f"unknown config key {key!r} (this "
-                                 f"command takes: {', '.join(keys)})")
-            out[key] = val
-    return out
+def _config_flags(path: str) -> list:
+    """An argparse type: the `key = value` lines of a config file (comments
+    with '#') as `--key=value` flags.  A file cannot name another."""
+    flags = []
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for raw in fh:
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise ArgumentTypeError(f"bad config line: {raw.rstrip()}")
+                key, val = (p.strip() for p in line.split("=", 1))
+                if key == "config":
+                    raise ArgumentTypeError("--config cannot be set in a file")
+                flags.append(f"--{key}={val}")
+    except (OSError, UnicodeError) as exc:
+        raise ArgumentTypeError(str(exc)) from None
+    return flags
 
 
-def _config_from_args(args) -> RunConfig:
-    """The command's settings; a command-line flag wins over the config
-    file's value."""
-    cfg = RunConfig()
-    keys = _settings_of(args.command)
-    filecfg = load_config_file(args.config, keys) if args.config else {}
-    for key in keys:
-        field, parse, _ = SETTINGS[key]
-        v = getattr(args, key)
-        if v is None:
-            v = filecfg.get(key)
-        if v is not None:
-            setattr(cfg, field, parse(v))
-    cfg.validate()
-    return cfg
-
-
-def _emit(cfg: RunConfig, text: str):
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+def _emit(args, text: str):
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
         print(text)
 
 
-def cmd_spectrum(cfg: RunConfig) -> int:
-    parities = ("+", "-") if cfg.parity == "both" else (cfg.parity,)
-    records = [eigenvalues(N, p, cfg.count, spectral_dps(N, cfg.digits))
-               for N in cfg.n_list for p in parities]
-    if cfg.fmt == "json":
-        _emit(cfg, json.dumps([{"N": r.N, "parity": r.parity,
-                                "eigenvalues": r.to_rows()} for r in records],
-                              indent=2))
-    elif cfg.fmt == "csv":
+def cmd_spectrum(args) -> int:
+    parities = ("+", "-") if args.parity == "both" else (args.parity,)
+    records = [eigenvalues(N, p, args.count, spectral_dps(N, args.digits))
+               for N in args.N for p in parities]
+    if args.format == "json":
+        _emit(args, json.dumps([{"N": r.N, "parity": r.parity,
+                                 "eigenvalues": r.to_rows()}
+                                for r in records], indent=2))
+    elif args.format == "csv":
         lines = ["N,parity,k,eigenvalue,certified_digits"]
         for r in records:
             lines.extend(",".join(map(str, row.values()))
                          for row in r.to_rows())
-        _emit(cfg, "\n".join(lines))
+        _emit(args, "\n".join(lines))
     else:
         lines = []
         for r in records:
             lines.append(f"N={r.N} parity={r.parity}")
             for j, e in enumerate(r.eigenvalues):
                 lines.append(f"  k={r.full_index(j):3d}  "
-                             f"{mp.nstr(e, min(cfg.digits, 30))}")
-        _emit(cfg, "\n".join(lines))
+                             f"{mp.nstr(e, min(args.digits, 30))}")
+        _emit(args, "\n".join(lines))
     return 0
 
 
-def cmd_zeta(cfg: RunConfig) -> int:
+def cmd_zeta(args) -> int:
     rows = []
-    for N in cfg.n_list:
-        recs = compute_spectra(N, cfg.count, cfg.digits)
-        table = em_zeta_table(N, recs, cfg.n_max, spectral_dps(N, cfg.digits))
+    for N in args.N:
+        recs = compute_spectra(N, args.count, args.digits)
+        table = em_zeta_table(N, recs, args.nmax, spectral_dps(N, args.digits))
         rows.extend(table.values())
-    if cfg.fmt == "json":
-        _emit(cfg, json.dumps([r.to_row() for r in rows], indent=2))
-    elif cfg.fmt == "csv":
+    if args.format == "json":
+        _emit(args, json.dumps([r.to_row() for r in rows], indent=2))
+    elif args.format == "csv":
         lines = ["N,kind,order,value,method,certified_digits"]
         for r in rows:
             d = r.to_row()
             lines.append(f"{d['N']},{d['kind']},{d['n']},{d['value']},"
                          f"{d['method']},{d['certified_digits']}")
-        _emit(cfg, "\n".join(lines))
+        _emit(args, "\n".join(lines))
     else:
         lines = []
         for r in rows:
@@ -158,18 +131,18 @@ def cmd_zeta(cfg: RunConfig) -> int:
                             strip_zeros=False)
             lines.append(f"N={r.N} {r.kind:8s} n={int(r.order)}  "
                          f"{value:30s} [{r.certified_digits} digits]")
-        _emit(cfg, "\n".join(lines))
+        _emit(args, "\n".join(lines))
     return 0
 
 
-def cmd_derive(cfg: RunConfig) -> int:
+def cmd_derive(args) -> int:
     chunks = []
-    for N in cfg.n_list:
-        idents = derive_sum_rules(N, cfg.n_max)
+    for N in args.N:
+        idents = derive_sum_rules(N, args.nmax)
         # full-order identities restated in full zeta values only, all from
         # one pass that folds the twisted values away
-        autonomous = autonomous_full_identities(N, cfg.n_max)
-        if cfg.fmt == "json":
+        autonomous = autonomous_full_identities(N, args.nmax)
+        if args.format == "json":
             chunk = [i.to_json_dict() for i in idents]
             for ident in autonomous:
                 d = ident.to_json_dict()
@@ -181,20 +154,20 @@ def cmd_derive(cfg: RunConfig) -> int:
             lines.extend(f"{i.to_text()}  (full-value basis)"
                          for i in autonomous)
             chunks.append("\n".join(lines))
-    if cfg.fmt == "json":
-        _emit(cfg, json.dumps(chunks, indent=2))
+    if args.format == "json":
+        _emit(args, json.dumps(chunks, indent=2))
     else:
-        _emit(cfg, "\n\n".join(chunks))
+        _emit(args, "\n\n".join(chunks))
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    report = run_battery(n_list=cfg.n_list, digits=cfg.digits,
-                         eigencount=cfg.count)
-    if cfg.fmt == "json":
-        _emit(cfg, report.to_json())
+def cmd_verify(args) -> int:
+    report = run_battery(n_list=args.N, digits=args.digits,
+                         eigencount=args.count)
+    if args.format == "json":
+        _emit(args, report.to_json())
     else:
-        _emit(cfg, report.to_text())
+        _emit(args, report.to_text())
     return 0 if report.passed else 1
 
 
@@ -226,13 +199,13 @@ def _cell_text(N: int, n: int, digits: int) -> str:
     return f"{label} = {mp.nstr(val, min(digits, 10))}"
 
 
-def cmd_table(cfg: RunConfig) -> int:
+def cmd_table(args) -> int:
     lines = []
-    for N in cfg.n_list:
+    for N in args.N:
         lines.append(f"N={N} (symmetry order L={symmetry_order(N)})")
-        for n in range(cfg.n_max + 1):
-            lines.append(f"  n={n:2d}  {_cell_text(N, n, cfg.digits)}")
-    _emit(cfg, "\n".join(lines))
+        for n in range(args.nmax + 1):
+            lines.append(f"  n={n:2d}  {_cell_text(N, n, args.digits)}")
+    _emit(args, "\n".join(lines))
     return 0
 
 
@@ -252,38 +225,44 @@ COMMANDS = {
 }
 
 
-def _settings_of(command: str) -> tuple:
-    """The settings a command takes: those it reads, then format and out."""
-    return COMMANDS[command][3] + ("format", "out")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="osczeta",
         description="spectral zeta functions and exact sum rules for "
                     "homogeneous oscillators -d2/dq2 + |q|^N")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (helptext, *_) in COMMANDS.items():
-        p = sub.add_parser(name, help=helptext)
-        for key in _settings_of(name):
-            p.add_argument(f"--{key}", **SETTINGS[key][2])
-        p.add_argument("--config", help="key = value config file")
+    for name, (helptext, _, formats, reads) in COMMANDS.items():
+        # no prefixes: a flag is refused unless spelled in full, as in a file
+        p = sub.add_parser(name, help=helptext, allow_abbrev=False)
+        for key in reads:
+            p.add_argument(f"--{key}", **SETTINGS[key])
+        p.add_argument("--format", choices=formats, default="text")
+        p.add_argument("--out", help="write output to this path")
+        p.add_argument("--config", type=_config_flags,
+                       help="key = value file, read as --key=value flags")
     return parser
 
 
+def parse_args(argv=None) -> argparse.Namespace:
+    """The command and its settings.  A config file's flags go between the
+    command and the command line's flags, and the whole is parsed again, so
+    the command line wins.  Bad input raises argparse's SystemExit(2)."""
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(argv)
+    if args.config:
+        rest = argv[argv.index(args.command) + 1:]
+        args = parser.parse_args([args.command, *args.config, *rest])
+    return args
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    _, command, formats, _ = COMMANDS[args.command]
     try:
-        cfg = _config_from_args(args)
-        if cfg.fmt not in formats:
-            raise ValueError(f"{args.command} cannot write format "
-                             f"{cfg.fmt!r} (it writes {', '.join(formats)})")
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        args = parse_args(argv)
+    except SystemExit as exc:
+        return exc.code  # argparse's: 2 for bad input, 0 after --help
     try:
-        return command(cfg)
+        return COMMANDS[args.command][1](args)
     except (OsczetaError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -13,7 +13,7 @@ import mpmath as mp
 from fractions import Fraction
 
 from .errors import UnknownIdentifierError
-from .numerics import (airy_taylor_coefficient, alternating_hurwitz,
+from .numerics import (airy_taylor_coefficient, alternating_hurwitz_many,
                        euler_number, gamma, genocchi_number, hurwitz_many,
                        hyper_4f3)
 from .precision import DEFAULT_DPS, rounded, working
@@ -102,7 +102,8 @@ def dirichlet_beta(s, dps: int = DEFAULT_DPS):
     """beta(s) = sum (-1)^k (2k+1)^{-s} = 2^{-s} times the alternating
     Hurwitz sum at a = 1/2 (digamma form at s=1, where beta(1) = pi/4)."""
     with working(dps):
-        v = mp.mpf(2) ** (-mp.mpf(s)) * alternating_hurwitz(s, mp.mpf("0.5"))
+        v = mp.mpf(2) ** (-mp.mpf(s)) \
+            * alternating_hurwitz_many([s], mp.mpf("0.5"))[0]
     return rounded(v, dps)
 
 

@@ -312,7 +312,7 @@ def alternating_hurwitz_many(exponents, a):
     (psi((a+1)/2) - psi(a/2)) / 2."""
     a = mpf(a)
     if a <= 0:
-        raise ValueError("alternating_hurwitz requires a > 0")
+        raise ValueError("alternating_hurwitz_many requires a > 0")
     exps = [mpf(s) for s in exponents]
     rest = [s for s in exps if s != 1]
     # both halves carry a relative error; their difference cancels by about
@@ -326,12 +326,6 @@ def alternating_hurwitz_many(exponents, a):
                 if s == 1 else mpmath.power(2, -s) * (next(lo) - next(hi))
                 for s in exps]
     return [+v for v in vals]
-
-
-def alternating_hurwitz(s, a):
-    """sum_{k>=0} (-1)^k (k+a)^(-s) for real s and a > 0 at the ambient
-    precision: one exponent of `alternating_hurwitz_many`."""
-    return alternating_hurwitz_many([s], a)[0]
 
 
 # --------------------------------------------------------------------------

@@ -86,24 +86,6 @@ def bohr_sommerfeld_b1(N: int, dps: int = DEFAULT_DPS):
 
 
 @dataclasses.dataclass(frozen=True)
-class BohrSommerfeldCoeffs:
-    """Counting-function coefficients 2*pi*N(E) ~ b0 E^mu + b1 E^(-mu)."""
-    N: int
-    mu: object
-    b0: object
-    b1: object  # None when no exact value is known
-
-    @staticmethod
-    def compute(N: int, dps: int = DEFAULT_DPS) -> "BohrSommerfeldCoeffs":
-        with working(dps):
-            mu = mpf(N + 2) / (2 * N)
-            b0 = bohr_sommerfeld_b0(N, dps)
-        # for N >= 4 the tail fit still finds b1 itself
-        b1 = bohr_sommerfeld_b1(N, dps) if N in (2, 3) else None
-        return BohrSommerfeldCoeffs(N, rounded(mu, dps), b0, b1)
-
-
-@dataclasses.dataclass(frozen=True)
 class ZetaValue:
     N: int
     kind: str
@@ -195,19 +177,19 @@ def _airy_tail_model(parity_even: bool) -> _TailModel:
     return _TailModel(3 * mpmath.pi / 4, mpf(2) / 3, mpf(1), f[:TAIL_DEPTH])
 
 
-def _fit_tail_model(N, class_points, coeffs: BohrSommerfeldCoeffs):
-    """Calibrate N_FIT counting coefficients beyond the known ones against
-    the last computed eigenvalues of one parity class.
+def _fit_tail_model(N, class_points, mu, dps):
+    """Calibrate N_FIT counting coefficients beyond the known ones (b0, and
+    b1 for N = 3) against the last computed eigenvalues of one parity class
+    of 2*pi*N(E) ~ b0 E^mu + b1 E^(-mu) + ...
 
     class_points: [(full_index k, E_k)] sorted ascending.
     Returns (_TailModel, relative holdout error)."""
-    mu = coeffs.mu
-    b = [coeffs.b0]
+    b = [bohr_sommerfeld_b0(N, dps)]
     n_fit = min(N_FIT, max(0, len(class_points) - 2))
     if N == 2:
         n_fit = 0  # counting exactly linear
-    elif coeffs.b1 is not None:
-        b.append(coeffs.b1)
+    elif N == 3:
+        b.append(bohr_sommerfeld_b1(N, dps))  # N >= 4 still fits b1
     if n_fit > 0:
         pts = class_points[-n_fit:]
         rows, rhs = [], []
@@ -285,7 +267,7 @@ def _class_points(rec: SpectrumRecord):
     return [(rec.full_index(j), e) for j, e in enumerate(rec.eigenvalues)]
 
 
-def _class_model(N, rec: SpectrumRecord, coeffs, dps):
+def _class_model(N, rec: SpectrumRecord, mu, dps):
     """(_TailModel, relative holdout error) for one parity record, at the
     ambient precision: the exact Airy expansion for N=1, else a fit."""
     if N == 1:
@@ -293,7 +275,7 @@ def _class_model(N, rec: SpectrumRecord, coeffs, dps):
         k_chk, e_chk = _class_points(rec)[-1]
         return model, max(mpf(10) ** (-dps),
                           abs(model.energy(k_chk) / e_chk - 1))
-    return _fit_tail_model(N, _class_points(rec), coeffs)
+    return _fit_tail_model(N, _class_points(rec), mu, dps)
 
 
 def _check_request(kind, s, mu, recs):
@@ -367,9 +349,9 @@ def zeta_values(N: int, records, requests, dps: int = DEFAULT_DPS) -> dict:
     once, and at each order its E_k^(-s) and tail expansion are computed
     once and shared by every kind requested there."""
     recs = _normalize_records(records)
-    coeffs = BohrSommerfeldCoeffs.compute(N, dps)
+    with working(dps):
+        mu = rounded(mpf(N + 2) / (2 * N), dps)  # 2*pi*N(E) ~ b0 E^mu
     with working(dps, 10):
-        mu = mpf(coeffs.mu)
         orders = {}                    # s -> kinds requested at s
         for kind, s in requests:
             _check_request(kind, mpf(s), mu, recs)
@@ -380,7 +362,7 @@ def zeta_values(N: int, records, requests, dps: int = DEFAULT_DPS) -> dict:
             need = {p for kind in kinds for p in _WEIGHTS[kind]}
             for p in need:
                 if p not in fits:
-                    fits[p] = _class_model(N, recs[p], coeffs, dps)
+                    fits[p] = _class_model(N, recs[p], mu, dps)
             powers = {p: [(k, e ** (-s)) for k, e in _class_points(recs[p])]
                       for p in need}
             terms = {p: fits[p][0].inverse_power_terms(s) for p in need}

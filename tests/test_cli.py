@@ -1,7 +1,6 @@
 """Command-line interface tests: golden outputs, config handling, formats,
 and exit codes."""
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -317,7 +316,7 @@ class TestConfigHandling:
         cfgfile.write_text("N = 2\ndigitz = 12\n")
         assert run(["spectrum", "--N", "3", "--config", str(cfgfile)]) == 2
         captured = capsys.readouterr()
-        assert "'digitz'" in captured.err and captured.out == ""
+        assert "--digitz" in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("command, fmt", [
         ("table", "json"), ("table", "csv"), ("derive", "csv"),
@@ -333,7 +332,8 @@ class TestConfigHandling:
             assert run(argv) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert f"{command} cannot write format '{fmt}'" in captured.err
+            assert (f"osczeta {command}: error: argument --format: "
+                    f"invalid choice: '{fmt}'") in captured.err
 
     @pytest.mark.parametrize("command, key, value", [
         ("spectrum", "nmax", "2"), ("zeta", "parity", "+"),
@@ -345,16 +345,14 @@ class TestConfigHandling:
                                      capsys):
         # a setting the command never reads, from a flag or from a config
         # file: exit 2 before any work, and the message names it
-        with pytest.raises(SystemExit) as exc:
-            run([command, "--N", "2", f"--{key}", value])
-        assert exc.value.code == 2
+        assert run([command, "--N", "2", f"--{key}", value]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and f"--{key}" in captured.err
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(f"N = 2\n{key} = {value}\n")
         assert run([command, "--config", str(cfgfile)]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and f"'{key}'" in captured.err
+        assert captured.out == "" and f"--{key}" in captured.err
 
     def test_missing_config_file(self, capsys):
         assert run(["spectrum", "--config", "/nonexistent/path.cfg"]) == 2
@@ -399,7 +397,7 @@ class TestConfigHandling:
     @given(text=st.lists(st.one_of(
         st.text(st.characters(blacklist_categories=("Cs",))),
         st.builds("{} = {}".format,
-                  st.sampled_from(list(cli.SETTINGS)),
+                  st.sampled_from([*cli.SETTINGS, "format", "out"]),
                   st.text(st.characters(blacklist_categories=("Cs",)))))
     ).map("\n".join))
     @settings(max_examples=200, deadline=None)
@@ -408,13 +406,74 @@ class TestConfigHandling:
             path = os.path.join(tmp, "run.cfg")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
-            args = cli.build_parser().parse_args(["zeta", "--config", path])
             try:
-                cfg = cli._config_from_args(args)
-            except (ValueError, OSError):
+                args = cli.parse_args(["zeta", "--config", path])
+            except SystemExit as exc:
+                assert exc.code == 2
                 return
-        assert isinstance(cfg, cli.RunConfig)
-        cfg.validate()
+        assert all(N >= 1 for N in args.N)
+        assert args.count >= 1 and args.nmax >= 0
+        assert 5 <= args.digits <= 1000
+        assert args.format in cli.COMMANDS["zeta"][2]
+
+
+class TestMainReturns:
+    """`cli.main` returns an exit code for any input and never raises: 2
+    with nothing on stdout for bad input, naming the flag or key, and 0
+    for --help.  The commands are stubbed, so nothing is computed."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        for name, (helptext, _, formats, reads) in list(cli.COMMANDS.items()):
+            monkeypatch.setitem(cli.COMMANDS, name, (
+                helptext, lambda args: calls.append(args) or 0, formats,
+                reads))
+        return calls
+
+    # argv, the config file's text (None: no file), and what stderr names
+    BAD_INPUT = {
+        "unknown-flag": (["spectrum", "--digitz", "20"], None, "--digitz"),
+        "unread-flag": (["derive", "--N", "2", "--digits", "20"], None,
+                        "--digits"),
+        "prefix-flag": (["table", "--N", "2", "--nm", "1"], None, "--nm"),
+        "N-below-1": (["spectrum", "--N", "2,0"], None, "--N"),
+        "parity-unknown": (["spectrum", "--parity", "++"], None, "--parity"),
+        "count-below-1": (["spectrum", "--count", "0"], None, "--count"),
+        "digits-below-5": (["spectrum", "--digits", "4"], None, "--digits"),
+        "digits-above-1000": (["spectrum", "--digits", "1001"], None,
+                              "--digits"),
+        "nmax-below-0": (["zeta", "--nmax", "-1"], None, "--nmax"),
+        "unwritable-format": (["table", "--format", "csv"], None, "--format"),
+        "missing-config": (["spectrum", "--config", "missing.cfg"], None,
+                           "--config"),
+        "bad-config-line": (["spectrum"], "N = 2\nnot a key-value pair\n",
+                            "--config"),
+        "unknown-key": (["spectrum"], "N = 2\ndigitz = 20\n", "--digitz"),
+        "prefix-key": (["table"], "N = 2\nnm = 1\n", "--nm"),
+        # the file names itself, so only the key is at fault
+        "config-key": (["spectrum"], "config = run.cfg\n", "--config"),
+    }
+
+    @pytest.mark.parametrize("case", BAD_INPUT)
+    def test_bad_input_returns_two(self, case, calls, tmp_path, monkeypatch,
+                                   capsys):
+        argv, config, names = self.BAD_INPUT[case]
+        monkeypatch.chdir(tmp_path)
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config)
+            argv = [*argv, "--config", "run.cfg"]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and names in captured.err
+        assert calls == []
+
+    @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]],
+                             ids=["osczeta", "verify"])
+    def test_help_returns_zero(self, argv, calls, capsys):
+        assert run(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: osczeta")
+        assert calls == []
 
 
 class TestZetaCommand:
@@ -453,7 +512,6 @@ class TestZetaCommand:
 class TestVerifyCommand:
     @staticmethod
     def fake_report(passed):
-        rec = dataclasses.replace  # unused; keep import local and simple
         from osczeta.verify import CheckRecord, VerificationReport
         record = CheckRecord(
             check_id="stub.check", anchor="stub", symbolic="1", numeric="1",

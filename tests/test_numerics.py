@@ -22,7 +22,7 @@ from osczeta.errors import (
 from osczeta.numerics import (
     airy_negative_zeros,
     airy_taylor_coefficient,
-    alternating_hurwitz,
+    alternating_hurwitz_many,
     bernoulli_number,
     euler_number,
     genocchi_number,
@@ -132,7 +132,8 @@ class TestAlternatingHurwitz:
         with mp.workdps(20):
             s, a = mp.mpmathify(Fraction(s)), mp.mpmathify(Fraction(a))
             ref = mp.re(mp.lerchphi(-1, s, a))
-            assert abs(alternating_hurwitz(s, a) / ref - 1) < mp.mpf("1e-18")
+            value, = alternating_hurwitz_many([s], a)
+            assert abs(value / ref - 1) < mp.mpf("1e-18")
 
     # mpmath's lerchphi rounds these tiny values to an absolute error, so
     # the reference is a direct partial sum with a bounded remainder
@@ -142,20 +143,21 @@ class TestAlternatingHurwitz:
         with mp.workdps(30):
             s, a = mp.mpmathify(Fraction(s)), mp.mpmathify(Fraction(a))
             ref = _alternating_partial_sum(s, a, 24)
-            assert abs(alternating_hurwitz(s, a) / ref - 1) < mp.mpf("1e-20")
+            value, = alternating_hurwitz_many([s], a)
+            assert abs(value / ref - 1) < mp.mpf("1e-20")
 
     def test_digamma_branch_is_continuous(self):
         # s = 1 takes the digamma form; its neighbours take the zeta form
         with mp.workdps(30):
             a = mp.mpf("5.5")
-            at = alternating_hurwitz(1, a)
+            at = alternating_hurwitz_many([1], a)[0]
             for ds in ("1e-12", "-1e-12"):
-                near = alternating_hurwitz(1 + mp.mpf(ds), a)
+                near = alternating_hurwitz_many([1 + mp.mpf(ds)], a)[0]
                 assert abs(near - at) < mp.mpf("1e-11")
 
     def test_rejects_nonpositive_shift(self):
         with pytest.raises(ValueError):
-            alternating_hurwitz(2, 0)
+            alternating_hurwitz_many([2], 0)
 
 
 # the alternating grid above plus the runs e0 + 2r that the tail sums ask for

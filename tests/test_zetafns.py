@@ -15,7 +15,6 @@ from osczeta.errors import (
     SummationPoleError,
 )
 from osczeta.zetafns import (
-    BohrSommerfeldCoeffs,
     bohr_sommerfeld_b0,
     bohr_sommerfeld_b1,
     determinant_series,
@@ -46,17 +45,17 @@ class TestBohrSommerfeld:
         # N -> infinity approaches the infinite well value 4
         assert abs(bohr_sommerfeld_b0(4000, 20) - 4) < mp.mpf("0.01")
 
-    def test_coeffs_harmonic_linear(self):
-        c = BohrSommerfeldCoeffs.compute(2, 30)
-        assert c.b1 == 0
-        assert abs(c.mu - 1) < mp.mpf("1e-28")
+    def test_coeffs_harmonic_linear(self, spectra2):
+        assert bohr_sommerfeld_b1(2, 30) == 0
+        # mu = 1: the pole guard at s = mu refuses s = 1 exactly
+        with pytest.raises(SummationPoleError):
+            zeta_em(2, "full", 1, spectra2, dps=30)
 
     def test_cubic_b1_negative(self):
-        c = BohrSommerfeldCoeffs.compute(3, 30)
-        assert c.b1 < 0
+        assert bohr_sommerfeld_b1(3, 30) < 0
 
     @pytest.mark.parametrize("dps", [15, 20, 21, 30, 45, 50, 60, 100])
-    def test_b1_cubic_bit_identical_to_gamma_form(self, dps):
+    def test_b1_cubic_bit_identical_to_gamma_form(self, dps, monkeypatch):
         # the Gamma closed form the N = 3 coefficient had before the Beta
         # formula covered every N: -2^(4/3) pi^2 / (9 Gamma(1/3)^3)
         with mp.workdps(dps + 10):
@@ -65,7 +64,13 @@ class TestBohrSommerfeld:
         with mp.workdps(dps):
             ref = +ref
         assert bohr_sommerfeld_b1(3, dps)._mpf_ == ref._mpf_
-        assert BohrSommerfeldCoeffs.compute(3, dps).b1._mpf_ == ref._mpf_
+        # and the N = 3 tail fit takes that b1, bit for bit
+        fitted, invert = [], zetafns._invert_counting
+        monkeypatch.setattr(zetafns, "_invert_counting",
+                            lambda b, mu: fitted.append(b) or invert(b, mu))
+        zetafns._fit_tail_model(3, [(0, mp.mpf(1)), (2, mp.mpf(5))],
+                                mp.mpf(5) / 6, dps)
+        assert fitted[0][1]._mpf_ == ref._mpf_
 
     def test_b1_harmonic_is_exactly_zero(self):
         assert bohr_sommerfeld_b1(2, 30)._mpf_ == mp.mpf(0)._mpf_
@@ -120,8 +125,10 @@ class TestZetaEM:
             assert abs(zv.value - ref) < mp.mpf(10) ** (-zv.certified_digits)
 
     def test_pole_and_divergence_guards(self, spectra3):
-        # the pole guard compares against the counting coefficients' mu
-        mu = BohrSommerfeldCoeffs.compute(3, 20).mu
+        # the pole guard compares against the counting exponent
+        # mu = (N + 2) / (2N) at the request's digits
+        with mp.workdps(20):
+            mu = mp.mpf(5) / 6
         with pytest.raises(SummationPoleError):
             zeta_em(3, "full", mu, spectra3, dps=20)
         with pytest.raises(DivergentSeriesError):
