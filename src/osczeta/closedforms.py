@@ -107,31 +107,37 @@ def dirichlet_beta(s, dps: int = DEFAULT_DPS):
     return rounded(v, dps)
 
 
-def harmonic_zeta(kind: str, n: int, dps: int = DEFAULT_DPS):
-    """Closed-form Z_2-family values at integer order n >= 1.
+def harmonic_zeta(kind: str, n, dps: int = DEFAULT_DPS):
+    """Closed-form Z_2-family values at integer order n >= 1, or their list
+    for a list of orders.
 
     full:    lambda(n); finite part (euler_gamma + log 2)/2 at n=1
     twisted: beta(n)
     plus:    4^{-n} zeta(n, 1/4);  minus: 4^{-n} zeta(n, 3/4)
+
+    A list takes one Hurwitz batch per shift; at integer orders a batch
+    equals single calls bit for bit.
     """
-    if n < 1:
+    orders = [n] if isinstance(n, int) else list(n)
+    if any(m < 1 for m in orders):
         raise ValueError("order must be >= 1")
     with working(dps):
         if kind == "full":
             # eigenvalues are the odd integers 2k+1, so Z_2 = lambda directly
-            v = zeta_one(2, "full", dps) if n == 1 \
-                else dirichlet_lambda(n, dps)
+            vals = [zeta_one(2, "full", dps) if m == 1
+                    else dirichlet_lambda(m, dps) for m in orders]
         elif kind == "twisted":
-            v = dirichlet_beta(n, dps)
+            vals = map(mp.fmul, [mp.mpf(2) ** -m for m in orders],
+                       alternating_hurwitz_many(orders, mp.mpf("0.5")))
         elif kind in ("plus", "minus"):
-            if n == 1:
-                v = zeta_one(2, kind, dps)
-            else:
-                a = F(1, 4) if kind == "plus" else F(3, 4)
-                v = mp.mpf(4) ** (-n) * hurwitz_many([n], mp.mpmathify(a))[0]
+            a = mp.mpf(1) / 4 if kind == "plus" else mp.mpf(3) / 4
+            tail = iter(hurwitz_many([m for m in orders if m > 1], a))
+            vals = [zeta_one(2, kind, dps) if m == 1
+                    else mp.mpf(4) ** (-m) * next(tail) for m in orders]
         else:
             raise ValueError(f"unknown kind {kind!r}")
-    return rounded(v, dps)
+        vals = [rounded(v, dps) for v in vals]
+    return vals[0] if isinstance(n, int) else vals
 
 
 def harmonic_genocchi_value(m: int, dps: int = DEFAULT_DPS):

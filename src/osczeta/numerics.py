@@ -1,10 +1,11 @@
 """Arbitrary-precision special functions and exact integer sequences.
 
 Gamma, Hurwitz zeta values and the alternating Hurwitz sum, the Taylor
-coefficients of Ai at 0, the negative zeros of Ai and Ai', Bernoulli /
-Euler / Genocchi numbers, and the generalized hypergeometric 4F3 at unit
-argument.  Every value is determined by (inputs, dps); what is kept between
-calls (exact sequences, the last pair of Airy zero lists) only saves work.
+coefficients of Ai at 0 (Ai(0) and Ai'(0) from one AGM), the negative zeros
+of Ai and Ai', Bernoulli / Euler / Genocchi numbers, and the generalized
+hypergeometric 4F3 at unit argument.  Every value is determined by (inputs,
+dps); what is kept between calls (exact sequences, Gamma(1/3), the last pair
+of Airy zero lists) only saves work.
 
 Two integer fixed-point kernels live here.  The Taylor kernel,
 `_taylor_step`: the shooting solver of `spectrum` integrates on it, and so
@@ -466,7 +467,9 @@ def airy_taylor_coefficient(n: int, dps: int = DEFAULT_DPS):
     """n-th derivative of Ai at 0 via the closed form
     3^((n-2)/3) / pi * sin(2(n+1)pi/3) * Gamma((n+1)/3).
 
-    Exact zero for n = 2 mod 3 (the sine factor vanishes there).
+    Exact zero for n = 2 mod 3 (the sine factor vanishes there).  Ai(0) and
+    Ai'(0) take Gamma(1/3) from one AGM and Gamma(2/3) = 2 pi / (sqrt(3)
+    Gamma(1/3)), bit for bit the values of `mpmath.gamma`.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -474,9 +477,22 @@ def airy_taylor_coefficient(n: int, dps: int = DEFAULT_DPS):
         return mpf(0)
     sign = 1 if n % 3 == 0 else -1  # sin(2(n+1)pi/3) = +-sqrt(3)/2
     with working(dps):
+        g = mpmath.gamma(mpf(n + 1) / 3) if n > 1 else _gamma_one_third(dps)
+        if n == 1:
+            g = 2 * mpmath.pi / (mpmath.sqrt(3) * g)
         val = (sign * mpmath.power(3, mpf(n - 2) / 3) / mpmath.pi
-               * mpmath.sqrt(3) / 2 * mpmath.gamma(mpf(n + 1) / 3))
+               * mpmath.sqrt(3) / 2 * g)
     return rounded(val, dps)
+
+
+@lru_cache(maxsize=1)
+def _gamma_one_third(dps: int):
+    """Gamma(1/3)^3 = 2^(4/3) pi^2 / (3^(1/4) AGM(1, cos(pi/12))) (Borwein
+    & Zucker, IMA J. Numer. Anal. 12, 1992), with no cold `mpmath.gamma`."""
+    with working(dps):
+        agm = mpmath.agm(1, (mpmath.sqrt(6) + mpmath.sqrt(2)) / 4)
+        return mpmath.cbrt(mpmath.cbrt(16) * mpmath.pi ** 2
+                           / (mpmath.root(3, 4) * agm))
 
 
 def _airy_local(t, y, yp, s, P, tol, terms=None):
@@ -520,6 +536,24 @@ def _series_at(d, th, P):
     return f, g
 
 
+def _float_newton(d, derivative, t, h, th):
+    """The zero th in [0, 1] of y(t + th h) = sum_k d_k th^k (or of y', with
+    y'' = -(t + th h) y) by Newton in floats from th; None if an iterate
+    leaves [0, 1] or does not settle to the floats' resolution."""
+    for _ in range(12):
+        f = g = 0.0
+        for dk in reversed(d):
+            g = g * th + f
+            f = f * th + dk
+        step = -f / g if derivative == 0 else g / (h * h * (t + th * h) * f)
+        th += step
+        if not 0.0 <= th <= 1.0:
+            return None
+        if abs(step) < 1e-15:
+            return th
+    return None
+
+
 def airy_negative_zeros(count: int, derivative: int = 0,
                         dps: int = DEFAULT_DPS) -> list:
     """Magnitudes of the first `count` negative zeros of Ai (or Ai'), in order.
@@ -533,13 +567,14 @@ def airy_negative_zeros(count: int, derivative: int = 0,
     the march is the k-th zero.  Both parities march the same y, so one
     march finds the zeros of both (`_airy_zero_pair`), and the last pair is
     kept.  Each zero is found by Newton on the Taylor series of its own
-    march step, from the secant of the step's ends, in the same fixed point;
-    then it is certified by a sign change across x (1 +- 10^-(dps+4)/4): one
-    kernel step from the start of its march step to the upper end gives the
-    sign there, and the same step's series, by Horner, the sign at the lower
-    end.  An iterate that leaves its march step, a missing sign change, or a
-    march that runs past the asymptotic place of its last zero raises
-    CertificationError.
+    march step, from the secant of the step's ends: in floats first, then in
+    the same fixed point (from the secant again if a float iterate leaves
+    the step).  Then it is certified by a sign change across
+    x (1 +- 10^-(dps+4)/4): one kernel step from the start of its march step
+    to the upper end gives the sign there, and the same step's series, by
+    Horner, the sign at the lower end.  An iterate that leaves its march
+    step, a missing sign change, or a march that runs past the asymptotic
+    place of its last zero raises CertificationError.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -557,12 +592,18 @@ def _airy_zero_pair(count: int, dps: int) -> tuple:
     pair = ([], [])
     with working(dps, 15) as ctx:
         P = ctx.prec + 8
+        one = 1 << P
         tol = int(mpmath.ldexp(mpf(10) ** (-(dps + GUARD + 10)), P))
         delta = int(mpmath.ldexp(mpf(10) ** (-(dps + 4)) / 4, P))
 
         def root(derivative, t, h, y, yp, d, s):
             """Zero of y (or y') in the march step [t, t + h], from t + s,
-            by Newton on the step's series y(t + s) = sum_k d_k (s/h)^k."""
+            by Newton on the step's series y(t + s) = sum_k d_k (s/h)^k,
+            first in floats."""
+            th = _float_newton([dk / one for dk in d], derivative,
+                               t / one, h / one, s / h)
+            if th is not None:
+                s = h * int(math.ldexp(th, 53)) >> 53
             for _ in range(60):
                 f, g = _series_at(d, (s << P) // h, P)
                 # Newton on y, or on y' with y'' = -(t + s) y

@@ -21,16 +21,19 @@ sqrt(E) and rises through every node, so below the turning point E^(1/N)
 steps of min(1, 1/sqrt E) advance it by at most 1 rad < pi and still count
 every node; past the turning point the steps shorten to min(1/4, 1/(2 sqrt
 E)), which keeps the Taylor order bounded where q^N climbs.  The inward
-sweep counts none and steps h = min(1, 6/rate), rate = sqrt(q^N - E),
+sweep counts none and steps h = min(1, 10/rate), rate = sqrt(q^N - E),
 because at high precision a longer step needs fewer Taylor terms per unit
-length (Jorba & Zou, Exp. Math. 14, 2005).  The Wronskian is bracketed on a
-semiclassical (Bohr-Sommerfeld) grid of 8-digit shoots, shot outward from
-the prediction, then polished by Newton steps on a ladder of shoots at the
+length (Jorba & Zou, Exp. Math. 14, 2005).  Newton on the Wronskian starts
+at the Bohr-Sommerfeld prediction b0 E^mu + b1 E^-mu = 2 pi (k + 1/2),
+calibrated by the sector's last level, and climbs a ladder of shoots at the
 digits the last step earned.  The last step is a chord: one shoot at the
 certificate's precision without dpsi/dE, divided by the last ladder shoot's
 slope.  Each accepted eigenvalue is certified at dps + 10 by a Wronskian
 sign change across a relative bracket of 10^-(dps+4)/2 and by counting
-eigenfunction nodes below it.
+eigenfunction nodes below it.  A start that leaves the window between the
+neighbouring predictions or fails falls back to a grid of 8-digit shoots
+over that window, shot outward from the prediction, and Newton from the
+secant of the pair that brackets the level.
 
 For N=1 the odd/even eigenvalues are exactly the negated zeros of Ai / Ai',
 and the solver takes that fast path: `numerics.airy_negative_zeros` marches
@@ -119,10 +122,21 @@ def _b0_float(N: int) -> float:
     return (4.0 / N) * math.gamma(1.0 / N) * math.gamma(1.5) / math.gamma(1.0 / N + 1.5)
 
 
+def _b1_float(N: int) -> float:
+    """First counting correction, N >= 2 (float grade; exact in zetafns)."""
+    a = 1.0 - 1.0 / N
+    return (-(N - 1) * (N - 2) / (12.0 * N) * math.gamma(a) * math.gamma(0.5)
+            / math.gamma(a + 0.5))
+
+
 def _predicted_energy(N: int, k_full: float) -> float:
-    """Bohr-Sommerfeld inversion of (b0/2pi) E^mu = k + 1/2."""
+    """Bohr-Sommerfeld inversion of b0 E^mu + b1 E^-mu = 2pi (k + 1/2), the
+    root x = E^mu > 0 of b0 x^2 - 2pi (k + 1/2) x + b1 (b1 <= 0): exact for
+    N = 2, within 0.4% from level 1 on for N <= 10, 5-9% at level 0 of '+'."""
     mu = (N + 2) / (2.0 * N)
-    return (2.0 * math.pi * (k_full + 0.5) / _b0_float(N)) ** (1.0 / mu)
+    b0, c = _b0_float(N), 2.0 * math.pi * (k_full + 0.5)
+    x = (c + math.sqrt(c * c - 4.0 * b0 * _b1_float(N))) / (2.0 * b0)
+    return x ** (1.0 / mu)
 
 
 # --------------------------------------------------------------------------
@@ -228,7 +242,7 @@ def _shoot(N: int, E, parity: str, dps: int, slope: bool = False):
                 positive = not positive
 
         # inward sweep with decaying WKB data; no node is counted here, so
-        # a step may span up to 6 local decay lengths 1/rate.  A step whose
+        # a step may span up to 10 local decay lengths 1/rate.  A step whose
         # inner end lies at action A from qm is summed to tol e^(INWARD_RELAX
         # A), rounded down to a power of two, but never coarser than 10^-GUARD
         qmax = mpf(qmax_f)
@@ -240,7 +254,7 @@ def _shoot(N: int, E, parity: str, dps: int, slope: bool = False):
         while q > qm:
             q_f = q / one
             rate = _forbidden_rate(N, Ef, q_f)
-            h = min(1.0, 6.0 / rate if rate > 0 else 1.0)
+            h = min(1.0, 10.0 / rate if rate > 0 else 1.0)
             h = min(int(mpmath.ldexp(h, P)), q - qm)
             h_f = h / one
             # the step's action, by Simpson's rule
@@ -263,7 +277,7 @@ def _shoot(N: int, E, parity: str, dps: int, slope: bool = False):
         return w / norm, nodes, step
 
 
-# Decimal digits of the bracket grid shoots; Newton starts from here.
+# Decimal digits of the bracket grid shoots and of Newton's first shoots.
 GRID_DPS = 8
 
 # Digits beyond d to which the Newton step of a ladder shoot at d digits is
@@ -276,8 +290,8 @@ GRID_DPS = 8
 LADDER_EXCESS = 8
 
 
-def _polish(N: int, parity: str, a, b, wa, wb, dps: int):
-    """Newton on the matching Wronskian from the secant of the bracket.
+def _polish(N: int, parity: str, e, dps: int, window=None):
+    """Newton on the matching Wronskian from the energy e.
 
     A step of relative size 10^-got leaves an error near 10^-2got, so the
     next shoot runs at min(dps, 2 got + 4) digits (never fewer than the
@@ -292,10 +306,11 @@ def _polish(N: int, parity: str, a, b, wa, wb, dps: int):
     stopping size or its product with the ladder step is below that times
     1e-6.  Otherwise Newton at dps + 10 digits, with dpsi/dE, goes on from
     the same point, each step final on the same terms with its square.  A
-    start that converges to the wrong level is caught by the certificate in
-    _solve_one."""
+    ladder iterate outside `window` (lo, hi) and a polish that does not
+    converge raise CertificationError; a start that converges to the wrong
+    level is caught by the certificate in _solve_one."""
     with working(dps, 15):
-        e = (a * wb - b * wa) / (wb - wa)
+        e = mpf(e)
         stop = mpf(10) ** (-(dps + 4)) / 4
         full = dps + 10
         digits = GRID_DPS
@@ -308,6 +323,9 @@ def _polish(N: int, parity: str, a, b, wa, wb, dps: int):
                 e += step
                 continue
             e += step
+            if window and not window[0] <= e <= window[1]:
+                raise CertificationError(
+                    f"Newton left its window for N={N} parity={parity}")
             got = min(int(-mpmath.log10(rel)) if rel else dps, digits)
             if min(2 * got, digits + LADDER_EXCESS) + got <= dps + 11:
                 digits = min(dps, max(digits, 2 * got + 4))
@@ -350,11 +368,19 @@ def _bracket(N: int, parity: str, j: int, grid):
 def _solve_one(N: int, parity: str, j: int, dps: int, correction: float):
     """Locate the j-th eigenvalue of the parity sector and certify it: the
     Wronskian changes sign across e (1 +- 10^-(dps+4)/4) at full precision,
-    and the outward solution below it has j nodes."""
+    and the outward solution below it has j nodes.  Newton starts at the
+    calibrated prediction inside the window the grid would scan; if it
+    leaves it or fails, the grid brackets the level, and Newton starts again
+    from the secant of the bracket."""
     kf = 2 * j + (0 if parity == "+" else 1)
     lo = _predicted_energy(N, kf - 1) * correction if kf >= 1 \
         else 0.25 * _predicted_energy(N, 0) * correction
     hi = _predicted_energy(N, kf + 1) * correction
+    try:
+        return _certified(N, parity, j, dps, _polish(
+            N, parity, _predicted_energy(N, kf) * correction, dps, (lo, hi)))
+    except CertificationError:
+        pass
     for attempt in range(3):
         grid = [lo + (hi - lo) * t / 6.0 for t in range(7)]
         found = _bracket(N, parity, j, grid)
@@ -365,7 +391,15 @@ def _solve_one(N: int, parity: str, j: int, dps: int, correction: float):
         raise BracketFailureError(
             f"no sign change for N={N} parity={parity} index {j}")
     i, vals = found
-    e = _polish(N, parity, grid[i], grid[i + 1], vals[i], vals[i + 1], dps)
+    with working(dps, 15):
+        wa, wb = vals[i], vals[i + 1]
+        e = (grid[i] * wb - grid[i + 1] * wa) / (wb - wa)
+    return _certified(N, parity, j, dps, _polish(N, parity, e, dps))
+
+
+def _certified(N: int, parity: str, j: int, dps: int, e):
+    """e rounded to dps digits if it passes the certificate of _solve_one,
+    else CertificationError."""
     with working(dps, 15):
         delta = mpf(10) ** (-(dps + 4)) / 4
         w_lo, nodes, _ = _shoot(N, e * (1 - delta), parity, dps + 10)

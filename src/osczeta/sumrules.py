@@ -127,6 +127,7 @@ def _derive(N: int, n_max: int, basis: ZKind):
     m = 2 * (N + 2)
     zeta = CycloNumber.zeta(m, 1)          # e^{i nu pi}
     inv_two_i_sin = (zeta - zeta.conjugate()).inverse()  # 1/(2i sin(nu pi))
+    i_tan = (zeta - zeta.conjugate()) * (zeta + zeta.conjugate()).inverse()
 
     out = [SumRuleIdentity(
         N, 0, SymPoly.symbol(ZSymbol(ZKind.ZPLUS_PRIME0, 0))
@@ -188,13 +189,25 @@ def _derive(N: int, n_max: int, basis: ZKind):
             c = lhs.terms.get(((sym, 1),))
             if c is not None:
                 value = rhs - (lhs - SymPoly.symbol(sym, c))
+                # for N = 2 the lhs at n = 1 also carries the rhs's ZP(1)
+                ratio = c.inverse() * log_coeff[sym] if (N, n) == (2, 1) \
+                    else _fold_ratio(m, n, sym, i_tan)
                 log[n] = log[n] - SymPoly.symbol(sym, log_coeff[sym]) \
-                    + value.scaled(c.inverse() * log_coeff[sym])
+                    + value.scaled(ratio)
                 break
         out.append(SumRuleIdentity(N, n, lhs, rhs, classify_lhs(N, n),
                                    degenerate=degenerate))
         exp.append(lower + log[n])
     return out
+
+
+def _fold_ratio(m: int, n: int, sym: ZSymbol, i_tan: CycloNumber):
+    """log_coeff / c of the symbol solved for at order n, with no inverse:
+    c is cos(2n nu pi) for Z(n) and -cot(nu pi) sin(2n nu pi) for ZP(n)
+    (module docstring), so it is (-1)^(n+1) zeta^(2n) / n, times i tan(nu pi)
+    for ZP(n)."""
+    ratio = rational(Fraction((-1) ** (n + 1), n)) * CycloNumber.zeta(m, 2 * n)
+    return ratio * i_tan if sym.kind is ZKind.ZTWISTED else ratio
 
 
 def solved_form(identity: SumRuleIdentity):

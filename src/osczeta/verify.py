@@ -234,10 +234,8 @@ def _funceq_checks(N, table, digits):
             pv = [plus[n] for n in range(1, M + 1)]
             mv = [minus[n] for n in range(1, M + 1)]
         else:
-            pv = [cforms.harmonic_zeta("plus", n, digits + 10)
-                  for n in range(1, M + 1)]
-            mv = [cforms.harmonic_zeta("minus", n, digits + 10)
-                  for n in range(1, M + 1)]
+            pv = cforms.harmonic_zeta("plus", range(1, M + 1), digits + 10)
+            mv = cforms.harmonic_zeta("minus", range(1, M + 1), digits + 10)
             pp = cforms.zeta_prime0(2, "plus", digits + 10)
             mm = cforms.zeta_prime0(2, "minus", digits + 10)
         tol = mp.mpf(10) ** (-(digits - 12))
@@ -327,7 +325,7 @@ def _harmonic_checks(digits):
     # |lambda| reaches 0.6 of the unit radius: 0.6^M must undercut 10^-(p-5)
     M = max(80, int((digits + 8) / mp.log10(mp.mpf(1) / mp.mpf("0.6"))) + 10)
     tolD = mp.mpf(10) ** (-(digits - 12))
-    vals = {k: [cf(f"Z2.{k}.{n}", 2, digits + 10) for n in range(1, M + 1)]
+    vals = {k: cforms.harmonic_zeta(k, range(1, M + 1), digits + 10)
             for k in ("full", "twisted")}
     primes = {"full": cforms.zeta_prime0(2, "full", digits + 10),
               "twisted": cforms.zeta_prime0(2, "twisted", digits + 10)}

@@ -384,6 +384,20 @@ class TestAiry:
             assert airy_taylor_coefficient(2, 35) == 0
             assert airy_taylor_coefficient(5, 35) == 0
 
+    def test_origin_from_agm_is_the_gamma_form(self):
+        # Ai(0) and Ai'(0) from the AGM form of Gamma(1/3) equal the Gamma
+        # closed form 3^((n-2)/3) / pi sin(2(n+1)pi/3) Gamma((n+1)/3), bit
+        # for bit
+        for dps in [*range(5, 301), 1000]:
+            for n, sign in ((0, 1), (1, -1)):
+                with working(dps):
+                    ref = (sign * mp.power(3, mp.mpf(n - 2) / 3) / mp.pi
+                           * mp.sqrt(3) / 2 * mp.gamma(mp.mpf(n + 1) / 3))
+                with mp.workdps(dps):
+                    ref = +ref
+                assert airy_taylor_coefficient(n, dps)._mpf_ == ref._mpf_, \
+                    (n, dps)
+
     @pytest.mark.parametrize("k", [1, 2, 5, 12])
     @pytest.mark.parametrize("deriv", [0, 1])
     def test_negative_zero(self, k, deriv):
@@ -521,6 +535,25 @@ class TestAiryZeroMarch:
         airy_negative_zeros(30, deriv, 45)
         assert len(steps) == 93
         assert len(calls) == 93 + 2 * 30
+
+    def test_horner_passes_per_march(self, monkeypatch):
+        # both parities of 30 zeros at 45 digits from a cold start: Newton
+        # runs first in floats on each zero's march step, so the fixed point
+        # takes about 2.5 Horner passes per zero and its certificate one;
+        # the kernel calls are the 93 march steps and 60 certificate steps
+        calls = self._count_kernel(monkeypatch)
+        passes = []
+        series_at = numerics._series_at
+
+        def counting(*args):
+            passes.append(args)
+            return series_at(*args)
+
+        monkeypatch.setattr(numerics, "_series_at", counting)
+        numerics._airy_zero_pair.cache_clear()
+        airy_negative_zeros(30, 0, 45)
+        assert len(passes) <= 220
+        assert len(calls) == 153
 
     def test_second_parity_makes_no_kernel_call(self, monkeypatch):
         # one march found both parities' zeros: at the same (count, digits)

@@ -207,8 +207,8 @@ class TestSolverRegression:
         assert [list(e._mpf_) for e in rec.eigenvalues] == SNAPSHOT[key]
 
     def test_shoots_per_eigenvalue(self, monkeypatch):
-        # 2-4 grid shoots outward from the prediction, Newton shoots at
-        # rising precision (one at full), 2 certificate shoots
+        # Newton shoots at rising precision from the prediction (one at
+        # full), 2 certificate shoots; the bracket grid does not run
         calls = []
         shoot = spectrum._shoot
 
@@ -218,13 +218,13 @@ class TestSolverRegression:
 
         monkeypatch.setattr(spectrum, "_shoot", counting)
         eigenvalues(3, "+", 1, 50)
-        assert len(calls) <= 12
+        assert len(calls) <= 9
 
     def test_taylor_steps_per_eigenvalue(self, monkeypatch):
         # Taylor steps of one 30-digit level: the outward sweep steps
         # min(1, 1/sqrt(E)) up to the turning point, the inward sweep
-        # min(1, 6/rate) through the forbidden region, and the ladder and
-        # grid shoots work to their own digits; 84 steps in all
+        # min(1, 10/rate) through the forbidden region, and the ladder
+        # shoots work to their own digits; 56 steps in all
         calls = []
         step = spectrum._taylor_step
 
@@ -234,7 +234,7 @@ class TestSolverRegression:
 
         monkeypatch.setattr(spectrum, "_taylor_step", counting)
         eigenvalues(3, "+", 1, 30)
-        assert len(calls) <= 100
+        assert len(calls) <= 60
 
     def test_sliver_final_outward_step(self, monkeypatch):
         # for N = 2 the long steps 1/sqrt(E) reach qt = sqrt(E) after E of
@@ -281,10 +281,10 @@ class TestSolverRegression:
             assert 2 <= len(full) <= 3 and not any(full)
 
     def test_failed_chord_falls_back_to_newton(self, monkeypatch):
-        # a chord shot too early (here after the 16-digit ladder shoot of
-        # level 0, which leaves 21 digits) misses its test; Newton at full
+        # a chord shot too early (here after the 14-digit ladder shoot of
+        # level 0 of N = 3 at 20 digits) misses its test; Newton at full
         # precision goes on from the same point to the same eigenvalue
-        ref = eigenvalues(2, "+", 1, 30)
+        ref = eigenvalues(3, "+", 1, 20)
         calls = []
         shoot = spectrum._shoot
 
@@ -294,9 +294,9 @@ class TestSolverRegression:
 
         monkeypatch.setattr(spectrum, "LADDER_EXCESS", 100)
         monkeypatch.setattr(spectrum, "_shoot", counting)
-        rec = eigenvalues(2, "+", 1, 30)
+        rec = eigenvalues(3, "+", 1, 20)
         assert rec.eigenvalues == ref.eigenvalues
-        assert (40, True) in calls[calls.index((40, False)):]
+        assert (30, True) in calls[calls.index((30, False)):]
 
     @given(N=st.integers(min_value=2, max_value=48),
            E=st.floats(min_value=0.5, max_value=200),
@@ -386,10 +386,18 @@ class TestSolverRegression:
             <= 1e-10 * (1 + 1e-9)
 
     def test_prediction_half_a_level_off(self, monkeypatch):
-        # a window shifted by half the sector's level spacing puts the
-        # level away from the centre shoots (or outside the first window)
+        # a prediction shifted by half the sector's level spacing starts
+        # Newton between two levels and puts the level at the edge of the
+        # window; with the start refused, the grid finds it away from the
+        # centre shoots (or outside the first window).  Either way the bits
+        # are those of the calibrated prediction
         ref = eigenvalues(3, "+", 4, 20)
-        predicted = spectrum._predicted_energy
+        predicted, polish = spectrum._predicted_energy, spectrum._polish
+        monkeypatch.setattr(spectrum, "_predicted_energy",
+                            lambda N, k: predicted(N, k + 1))
+        rec = eigenvalues(3, "+", 4, 20)
+        assert rec.eigenvalues == ref.eigenvalues
+
         bracket = spectrum._bracket
         pairs = []
 
@@ -398,30 +406,100 @@ class TestSolverRegression:
             pairs.append(found and found[0])
             return found
 
-        monkeypatch.setattr(spectrum, "_predicted_energy",
-                            lambda N, k: predicted(N, k + 1))
+        def grid_only(N, parity, e, dps, window=None):
+            if window:
+                raise CertificationError("start refused")
+            return polish(N, parity, e, dps)
+
         monkeypatch.setattr(spectrum, "_bracket", tracking)
+        monkeypatch.setattr(spectrum, "_polish", grid_only)
         rec = eigenvalues(3, "+", 4, 20)
         assert [list(e._mpf_) for e in rec.eigenvalues] == \
             [list(e._mpf_) for e in ref.eigenvalues]
         assert None in pairs and {0, 5} <= set(pairs)
 
+    @staticmethod
+    def _refusals(monkeypatch):
+        """Patch the certificate to record the message of each refusal."""
+        refused = []
+        certified = spectrum._certified
+
+        def recording(*args):
+            try:
+                return certified(*args)
+            except CertificationError as err:
+                refused.append(str(err))
+                raise
+
+        monkeypatch.setattr(spectrum, "_certified", recording)
+        return refused
+
+    def test_start_one_level_up_falls_back_to_grid(self, monkeypatch):
+        # a Newton start and its window moved up one level of the sector
+        # converge on the next eigenvalue; the node count refuses it, and
+        # the grid path gives the snapshot's bits
+        polish, predicted = spectrum._polish, spectrum._predicted_energy
+        starts = []
+
+        def moved(N, parity, e, dps, window=None):
+            if window is None:
+                return polish(N, parity, e, dps)
+            kf = 2 * len(starts) + 1
+            starts.append(e)
+            up = predicted(N, kf + 2) / predicted(N, kf)
+            return polish(N, parity, e * up, dps,
+                          (window[0] * up, window[1] * up))
+
+        refused = self._refusals(monkeypatch)
+        monkeypatch.setattr(spectrum, "_polish", moved)
+        rec = eigenvalues(3, "-", 2, 30)
+        assert [list(e._mpf_) for e in rec.eigenvalues] == SNAPSHOT["3-@30"]
+        assert len(starts) == 2
+        assert len(refused) == 2 and all("node count" in m for m in refused)
+
+    @pytest.mark.parametrize("parity", spectrum.PARITIES)
+    @pytest.mark.parametrize("N", [2, 3, 6, 10])
+    def test_no_grid_from_the_prediction(self, monkeypatch, N, parity):
+        # Newton from the calibrated b0 + b1 prediction certifies each of
+        # the first 12 levels without the bracket grid
+        def refused(*args):
+            raise AssertionError(f"bracket grid ran for {args[:3]}")
+
+        monkeypatch.setattr(spectrum, "_bracket", refused)
+        assert len(eigenvalues(N, parity, 12, 30)) == 12
+
+    def test_ladder_leaving_its_window_is_refused(self):
+        # a window that stops short of the level refuses the Newton ladder
+        # at its first iterate outside it
+        e = spectrum._predicted_energy(3, 0)
+        with pytest.raises(CertificationError, match="left its window"):
+            spectrum._polish(3, "+", e, 20, (0.5 * e, 1.01 * e))
+
     def test_polish_from_wrong_level_is_refused(self, monkeypatch):
-        # a bracket grid one level up starts Newton at the next eigenvalue
-        # of the sector, which has one node too many
+        # a prediction one level up starts Newton at the next eigenvalue of
+        # the sector, which has one node too many; so does the grid the
+        # same prediction places, and the level is refused
+        refused = self._refusals(monkeypatch)
         predicted = spectrum._predicted_energy
         monkeypatch.setattr(spectrum, "_predicted_energy",
                             lambda N, k: predicted(N, k + 2))
         with pytest.raises(CertificationError, match="node count"):
             eigenvalues(3, "-", 1, 20)
+        assert len(refused) == 2 and all("node count" in m for m in refused)
 
     def test_unconverged_polish_is_refused(self, monkeypatch):
+        # an eigenvalue off its root fails the sign change, from the start
+        # and again from the grid
         polish = spectrum._polish
+        windows = []
 
-        def off_root(*args):
+        def off_root(N, parity, e, dps, window=None):
+            windows.append(window)
+            e = polish(N, parity, e, dps, window)
             with mp.workdps(40):
-                return polish(*args) * (1 + mp.mpf("1e-22"))
+                return e * (1 + mp.mpf("1e-22"))
 
         monkeypatch.setattr(spectrum, "_polish", off_root)
         with pytest.raises(CertificationError, match="sign change"):
             eigenvalues(4, "-", 1, 20)
+        assert windows[0] is not None and windows[1:] == [None]

@@ -400,6 +400,42 @@ class TestDerivationWork:
                 assert autonomous_full_identity(N, n).order == n
             assert len(calls) == n * (n - 1) // 2
 
+    @pytest.mark.parametrize("basis", [ZKind.ZTWISTED, ZKind.ZFULL])
+    @pytest.mark.parametrize("N", range(1, 13))
+    def test_fold_ratio_needs_no_inverse(self, N, basis, monkeypatch):
+        # the ratio folded at order n, from the normalized form with no
+        # inverse, times the lhs coefficient c of the solved symbol is that
+        # symbol's order-n log coefficient; every order that carries a
+        # symbol to solve for folds one, N = 2 at n = 1 by its inverse
+        folds = []
+        original = sumrules._fold_ratio
+
+        def recording(m, n, sym, i_tan):
+            ratio = original(m, n, sym, i_tan)
+            folds.append((n, sym, ratio))
+            return ratio
+
+        monkeypatch.setattr(sumrules, "_fold_ratio", recording)
+        idents = sumrules._derive(N, 16, basis)
+        m = 2 * (N + 2)
+        solved = []
+        for n in range(1, 17):
+            candidates = [ZSymbol(k, n) for k in (
+                (ZKind.ZFULL,) if basis is ZKind.ZTWISTED
+                else (ZKind.ZTWISTED, ZKind.ZFULL))]
+            sym = next((s for s in candidates
+                        if ((s, 1),) in idents[n].lhs.terms), None)
+            if sym is not None and (N, n) != (2, 1):
+                solved.append((n, sym))
+        assert [(n, sym) for n, sym, _ in folds] == solved
+        for n, sym, ratio in folds:
+            w_n = CycloNumber.zeta(m, 4 * n)
+            half_c = Fraction((-1) ** (n + 1), 2 * n)
+            log_coeff = (w_n + 1) * half_c if sym.kind is ZKind.ZFULL \
+                else (1 - w_n) * half_c
+            assert ratio * idents[n].lhs.terms[((sym, 1),)] == log_coeff, \
+                (n, sym)
+
     @pytest.mark.parametrize("N, n_max", [(201, 1), (3, 33), (100000, 3)])
     def test_huge_inputs_are_refused(self, N, n_max):
         with pytest.raises(DerivationTooLargeError):
