@@ -24,16 +24,16 @@ E)), which keeps the Taylor order bounded where q^N climbs.  The inward
 sweep counts none and steps h = min(1, 10/rate), rate = sqrt(q^N - E),
 because at high precision a longer step needs fewer Taylor terms per unit
 length (Jorba & Zou, Exp. Math. 14, 2005).  Newton on the Wronskian starts
-at the Bohr-Sommerfeld prediction b0 E^mu + b1 E^-mu = 2 pi (k + 1/2),
-calibrated by the sector's last level, and climbs a ladder of shoots at the
-digits the last step earned.  The last step is a chord: one shoot at the
-certificate's precision without dpsi/dE, divided by the last ladder shoot's
-slope.  Each accepted eigenvalue is certified at dps + 10 by a Wronskian
-sign change across a relative bracket of 10^-(dps+4)/2 and by counting
-eigenfunction nodes below it.  A start that leaves the window between the
-neighbouring predictions or fails falls back to a grid of 8-digit shoots
-over that window, shot outward from the prediction, and Newton from the
-secant of the pair that brackets the level.
+at the Bohr-Sommerfeld prediction b0 E^mu + b1 E^-mu = 2 pi (k + 1/2) of
+the level itself, so no level depends on another, and climbs a ladder of
+shoots at the digits the last step earned.  The last step is a chord: one
+shoot at the certificate's precision without dpsi/dE, divided by the last
+ladder shoot's slope.  Each accepted eigenvalue is certified at dps + 10 by
+a Wronskian sign change across a relative bracket of 10^-(dps+4)/2 and by
+counting eigenfunction nodes below it.  A start that leaves the window
+between the neighbouring predictions or fails falls back to a grid of
+8-digit shoots over that window, shot outward from the prediction, and
+Newton from the secant of the pair that brackets the level.
 
 For N=1 the odd/even eigenvalues are exactly the negated zeros of Ai / Ai',
 and the solver takes that fast path: `numerics.airy_negative_zeros` marches
@@ -365,20 +365,22 @@ def _bracket(N: int, parity: str, j: int, grid):
     return None if i is None else (i, vals)
 
 
-def _solve_one(N: int, parity: str, j: int, dps: int, correction: float):
+def _solve_one(N: int, parity: str, j: int, dps: int):
     """Locate the j-th eigenvalue of the parity sector and certify it: the
     Wronskian changes sign across e (1 +- 10^-(dps+4)/4) at full precision,
     and the outward solution below it has j nodes.  Newton starts at the
-    calibrated prediction inside the window the grid would scan; if it
-    leaves it or fails, the grid brackets the level, and Newton starts again
-    from the secant of the bracket."""
+    level's own prediction, inside the window between the predictions of
+    its neighbours in the merged spectrum (from a quarter of level 0's at
+    the bottom), which the grid would scan; if it leaves it or fails, the
+    grid brackets the level, and Newton starts again from the secant of the
+    bracket."""
     kf = 2 * j + (0 if parity == "+" else 1)
-    lo = _predicted_energy(N, kf - 1) * correction if kf >= 1 \
-        else 0.25 * _predicted_energy(N, 0) * correction
-    hi = _predicted_energy(N, kf + 1) * correction
+    lo = _predicted_energy(N, kf - 1) if kf >= 1 \
+        else 0.25 * _predicted_energy(N, 0)
+    hi = _predicted_energy(N, kf + 1)
     try:
         return _certified(N, parity, j, dps, _polish(
-            N, parity, _predicted_energy(N, kf) * correction, dps, (lo, hi)))
+            N, parity, _predicted_energy(N, kf), dps, (lo, hi)))
     except CertificationError:
         pass
     for attempt in range(3):
@@ -431,15 +433,8 @@ def eigenvalues(N: int, parity: str, count: int,
         raise ValueError("parity must be '+' or '-'")
     if N == 1:
         return _airy_record(parity, count, dps)
-    evs = []
-    correction = 1.0
-    for j in range(count):
-        e = _solve_one(N, parity, j, dps, correction)
-        evs.append(e)
-        kf = 2 * j + (0 if parity == "+" else 1)
-        # calibrate the semiclassical window with the latest ratio
-        correction = float(e) / _predicted_energy(N, kf)
-    return SpectrumRecord(N, parity, tuple(evs), (dps,) * count)
+    evs = tuple(_solve_one(N, parity, j, dps) for j in range(count))
+    return SpectrumRecord(N, parity, evs, (dps,) * count)
 
 
 # --------------------------------------------------------------------------

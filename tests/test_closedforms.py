@@ -1,11 +1,17 @@
 """Closed-form catalog: quoted reference decimals, cross-family identities,
 and precision behavior."""
 
+import json
+import os
+
 import mpmath as mp
 import pytest
 
 from osczeta import closedforms as cf
 from osczeta.errors import UnknownIdentifierError
+
+AIRY_NSUM_PATH = os.path.join(os.path.dirname(__file__), "data",
+                              "airy_zeta3_nsum.json")
 
 
 def agree(value, quoted, tol):
@@ -73,11 +79,14 @@ class TestCrossChecks:
             assert abs(cf.dirichlet_beta(1, 55) - mp.pi / 4) < mp.mpf("1e-50")
 
     def test_airy_zetas_vs_spectrum_definition(self):
-        # closed-form log-derivative route vs a long direct eigenvalue sum
+        # closed-form log-derivative route vs a long direct eigenvalue sum,
+        # mpmath.nsum over mpmath.airyaizero, recorded at 60 digits with
+        # the command that made it
+        with open(AIRY_NSUM_PATH, encoding="utf-8") as fh:
+            ref = json.load(fh)
         with mp.workdps(60):
             z3 = cf.airy_zeta("minus", 3, 50)
-            direct = mp.nsum(lambda k: (-mp.airyaizero(int(k))) ** -3,
-                             [1, mp.inf])
+            direct = mp.mpf(ref["value"])
             assert abs(z3 - direct) < mp.mpf("1e-40")
 
     def test_airy_log_zetas_share_coefficients(self, monkeypatch):

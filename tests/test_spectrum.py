@@ -220,6 +220,22 @@ class TestSolverRegression:
         eigenvalues(3, "+", 1, 50)
         assert len(calls) <= 9
 
+    @pytest.mark.parametrize("N,parity,bound", [
+        (3, "+", 75), (3, "-", 74), (6, "+", 69), (6, "-", 66)])
+    def test_shoots_per_sector(self, monkeypatch, N, parity, bound):
+        # every shoot of a 12-level sector at 30 digits, each level started
+        # from its own prediction
+        calls = []
+        shoot = spectrum._shoot
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return shoot(*args, **kwargs)
+
+        monkeypatch.setattr(spectrum, "_shoot", counting)
+        eigenvalues(N, parity, 12, 30)
+        assert len(calls) <= bound
+
     def test_taylor_steps_per_eigenvalue(self, monkeypatch):
         # Taylor steps of one 30-digit level: the outward sweep steps
         # min(1, 1/sqrt(E)) up to the turning point, the inward sweep
@@ -386,19 +402,18 @@ class TestSolverRegression:
             <= 1e-10 * (1 + 1e-9)
 
     def test_prediction_half_a_level_off(self, monkeypatch):
-        # a prediction shifted by half the sector's level spacing starts
-        # Newton between two levels and puts the level at the edge of the
-        # window; with the start refused, the grid finds it away from the
-        # centre shoots (or outside the first window).  Either way the bits
-        # are those of the calibrated prediction
+        # predictions shifted by about half the sector's level spacing start
+        # Newton between two levels and put each level near an edge of its
+        # window: shifted up, every level of N = 3 '+' lies just above the
+        # window's lower end (pair 0); shifted down by a little less, each
+        # lies just below its upper end (pair 5), and level 0 above the
+        # whole of its first window, which ends at the prediction of index
+        # 0.01 (the level sits at 0.023).  With the start refused, the grid
+        # finds them there, and either way the bits are those of the
+        # unshifted prediction
         ref = eigenvalues(3, "+", 4, 20)
-        predicted, polish = spectrum._predicted_energy, spectrum._polish
-        monkeypatch.setattr(spectrum, "_predicted_energy",
-                            lambda N, k: predicted(N, k + 1))
-        rec = eigenvalues(3, "+", 4, 20)
-        assert rec.eigenvalues == ref.eigenvalues
-
-        bracket = spectrum._bracket
+        predicted, polish, bracket = (spectrum._predicted_energy,
+                                      spectrum._polish, spectrum._bracket)
         pairs = []
 
         def tracking(*args):
@@ -411,11 +426,17 @@ class TestSolverRegression:
                 raise CertificationError("start refused")
             return polish(N, parity, e, dps)
 
-        monkeypatch.setattr(spectrum, "_bracket", tracking)
-        monkeypatch.setattr(spectrum, "_polish", grid_only)
-        rec = eigenvalues(3, "+", 4, 20)
-        assert [list(e._mpf_) for e in rec.eigenvalues] == \
-            [list(e._mpf_) for e in ref.eigenvalues]
+        for shift in (1, -0.99):
+            monkeypatch.setattr(spectrum, "_predicted_energy",
+                                lambda N, k: predicted(N, k + shift))
+            rec = eigenvalues(3, "+", 4, 20)
+            assert rec.eigenvalues == ref.eigenvalues
+            with monkeypatch.context() as patch:
+                patch.setattr(spectrum, "_bracket", tracking)
+                patch.setattr(spectrum, "_polish", grid_only)
+                rec = eigenvalues(3, "+", 4, 20)
+            assert [list(e._mpf_) for e in rec.eigenvalues] == \
+                [list(e._mpf_) for e in ref.eigenvalues]
         assert None in pairs and {0, 5} <= set(pairs)
 
     @staticmethod
@@ -457,16 +478,21 @@ class TestSolverRegression:
         assert len(starts) == 2
         assert len(refused) == 2 and all("node count" in m for m in refused)
 
-    @pytest.mark.parametrize("parity", spectrum.PARITIES)
-    @pytest.mark.parametrize("N", [2, 3, 6, 10])
-    def test_no_grid_from_the_prediction(self, monkeypatch, N, parity):
-        # Newton from the calibrated b0 + b1 prediction certifies each of
-        # the first 12 levels without the bracket grid
+    # the first 12 levels at 30 digits of both parities of N = 2, 3, 6, 10,
+    # and the first 2 of the steep N = 48 '+' at 15 digits
+    @pytest.mark.parametrize("N,parity,count,dps", [
+        pytest.param(*case, id=f"{case[0]}-{case[1]}") for case in
+        [(N, p, 12, 30) for N in (2, 3, 6, 10) for p in spectrum.PARITIES]
+        + [(48, "+", 2, 15)]])
+    def test_no_grid_from_the_prediction(self, monkeypatch, N, parity, count,
+                                         dps):
+        # Newton from each level's own b0 + b1 prediction certifies every
+        # level without the bracket grid
         def refused(*args):
             raise AssertionError(f"bracket grid ran for {args[:3]}")
 
         monkeypatch.setattr(spectrum, "_bracket", refused)
-        assert len(eigenvalues(N, parity, 12, 30)) == 12
+        assert len(eigenvalues(N, parity, count, dps)) == count
 
     def test_ladder_leaving_its_window_is_refused(self):
         # a window that stops short of the level refuses the Newton ladder
