@@ -26,11 +26,13 @@ because at high precision a longer step needs fewer Taylor terms per unit
 length (Jorba & Zou, Exp. Math. 14, 2005).  Newton on the Wronskian starts
 at the Bohr-Sommerfeld prediction b0 E^mu + b1 E^-mu = 2 pi (k + 1/2) of
 the level itself, so no level depends on another, and climbs a ladder of
-shoots at the digits the last step earned.  The last step is a chord: one
-shoot at the certificate's precision without dpsi/dE, divided by the last
-ladder shoot's slope.  Each accepted eigenvalue is certified at dps + 10 by
-a Wronskian sign change across a relative bracket of 10^-(dps+4)/2 and by
-counting eigenfunction nodes below it.  A start that leaves the window
+shoots at the digits the last step earned, until it has a few digits more
+than the certificate's bracket.  That certificate is the only acceptance
+test: a Wronskian sign change at dps + 10 digits across a relative bracket
+of 10^-(dps+4)/2 around the ladder's last iterate, and a count of
+eigenfunction nodes below it; the eigenvalue is the chord of that pair.  A
+pair without a sign change is the last Newton step: its chord, if close,
+is shot again.  A start that leaves the window
 between the neighbouring predictions or fails falls back to a grid of
 8-digit shoots over that window, shot outward from the prediction, and
 Newton from the secant of the pair that brackets the level.
@@ -281,64 +283,42 @@ def _shoot(N: int, E, parity: str, dps: int, slope: bool = False):
 GRID_DPS = 8
 
 # Digits beyond d to which the Newton step of a ladder shoot at d digits is
-# taken to leave the eigenvalue, when _polish decides whether the chord is
-# due.  The shoot sums its Taylor steps to 10^-(d+GUARD), and over the N <=
-# 10 levels at 30 and 50 digits its step was good to d + 4 to d + 7; the
-# chord's own test, with its 1e-6 margin, covers the rest.  A smaller value
-# adds ladder shoots where the chord would pass; a larger one wastes chord
-# shoots that miss.
+# taken to leave the eigenvalue, when _polish decides whether its iterate is
+# close enough to certify.  The shoot sums its Taylor steps to
+# 10^-(d+GUARD), and over the N <= 10 levels at 30 and 50 digits its step
+# was good to d + 4 to d + 7; a certificate pair that misses the root takes
+# its chord as one more step.  A smaller value adds ladder shoots; a larger
+# one adds certificate pairs.
 LADDER_EXCESS = 8
 
 
 def _polish(N: int, parity: str, e, dps: int, window=None):
-    """Newton on the matching Wronskian from the energy e.
+    """Newton ladder on the matching Wronskian from the energy e.
 
     A step of relative size 10^-got leaves an error near 10^-2got, so the
-    next shoot runs at min(dps, 2 got + 4) digits (never fewer than the
-    last).  These ladder shoots work to their own digits: one at d digits
-    vouches for at most d digits of got and leaves e good to about
-    known = min(2 got, d + LADDER_EXCESS) digits.  The last step is a
-    chord: one shoot at the certificate's dps + 10 digits without dpsi/dE,
-    whose W times the last ladder step over that shoot's W is the step.
-    Its error is about its size times the ladder step's, as a Newton
-    step's is about its square, so it is shot once 10^-(known + got) is
-    far below the stopping size, and it is final when it is below the
-    stopping size or its product with the ladder step is below that times
-    1e-6.  Otherwise Newton at dps + 10 digits, with dpsi/dE, goes on from
-    the same point, each step final on the same terms with its square.  A
-    ladder iterate outside `window` (lo, hi) and a polish that does not
-    converge raise CertificationError; a start that converges to the wrong
-    level is caught by the certificate in _solve_one."""
+    next shoot runs at min(dps, 2 got + 4) digits, never fewer than the
+    last.  These shoots work to their own digits: one at d digits vouches
+    for at most d digits of got and leaves e good to about
+    min(2 got, d + LADDER_EXCESS) digits.  e is returned once that reaches
+    dps + 7, two to three digits inside the certificate's half-width
+    10^-(dps+4)/4; _certified accepts it or not.  A ladder iterate outside
+    `window` (lo, hi) and a ladder that does not get there raise
+    CertificationError; a start that converges to the wrong level is caught
+    by the certificate in _solve_one."""
     with working(dps, 15):
         e = mpf(e)
-        stop = mpf(10) ** (-(dps + 4)) / 4
-        full = dps + 10
         digits = GRID_DPS
         for _ in range(dps + 60):
-            w, _, step = _shoot(N, e, parity, digits, slope=True)
+            _, _, step = _shoot(N, e, parity, digits, slope=True)
             rel = abs(step / e)
-            if digits == full:
-                if rel < stop or rel ** 2 < stop * 1e-6:
-                    return e + step
-                e += step
-                continue
             e += step
             if window and not window[0] <= e <= window[1]:
                 raise CertificationError(
                     f"Newton left its window for N={N} parity={parity}")
             got = min(int(-mpmath.log10(rel)) if rel else dps, digits)
-            if min(2 * got, digits + LADDER_EXCESS) + got <= dps + 11:
-                digits = min(dps, max(digits, 2 * got + 4))
-                continue
-            w_chord, _, _ = _shoot(N, e, parity, full)
-            chord = w_chord * step / w
-            rel_chord = abs(chord / e)
-            if rel_chord < stop or rel_chord * rel < stop * 1e-6:
-                return e + chord
-            # a chord that misses is dropped: the ladder's slope may be no
-            # guide at e (the Wronskian of a steep potential saturates a
-            # little away from the root)
-            digits = full
+            if min(2 * got, digits + LADDER_EXCESS) >= dps + 7:
+                return e
+            digits = max(digits, min(dps, 2 * got + 4))
     raise CertificationError(
         f"Newton polish did not converge for N={N} parity={parity}")
 
@@ -400,20 +380,31 @@ def _solve_one(N: int, parity: str, j: int, dps: int):
 
 
 def _certified(N: int, parity: str, j: int, dps: int, e):
-    """e rounded to dps digits if it passes the certificate of _solve_one,
-    else CertificationError."""
+    """The certificate of _solve_one, the only test that accepts a level:
+    the Wronskian at dps + 10 digits changes sign across e (1 +- delta),
+    delta = 10^-(dps+4)/4, and the outward solution at the lower end has j
+    nodes.  Returns the chord of that pair, which lies inside it, rounded
+    to dps digits.  A pair without a sign change is a Newton step: its
+    chord becomes e, if it moves e by less than 10^-GRID_DPS, and is shot
+    again, three pairs in all.  Otherwise CertificationError."""
     with working(dps, 15):
         delta = mpf(10) ** (-(dps + 4)) / 4
-        w_lo, nodes, _ = _shoot(N, e * (1 - delta), parity, dps + 10)
-        w_hi, _, _ = _shoot(N, e * (1 + delta), parity, dps + 10)
-    if w_lo * w_hi > 0:
-        raise CertificationError(
-            f"no Wronskian sign change around {mpmath.nstr(e, 20)} "
-            f"for N={N} parity={parity}")
+        for pair in range(3):
+            lo, hi = e * (1 - delta), e * (1 + delta)
+            w_lo, nodes, _ = _shoot(N, lo, parity, dps + 10)
+            w_hi, _, _ = _shoot(N, hi, parity, dps + 10)
+            chord = (lo * w_hi - hi * w_lo) / (w_hi - w_lo)
+            if w_lo * w_hi <= 0:
+                break
+            if pair == 2 or not abs(chord - e) < e * mpf(10) ** -GRID_DPS:
+                raise CertificationError(
+                    f"no Wronskian sign change around {mpmath.nstr(e, 20)} "
+                    f"for N={N} parity={parity}")
+            e = chord
     if nodes != j:
         raise CertificationError(
             f"node count {nodes} != index {j} for N={N} parity={parity}")
-    return rounded(e, dps)
+    return rounded(chord, dps)
 
 
 def _airy_record(parity: str, count: int, dps: int) -> SpectrumRecord:

@@ -19,8 +19,8 @@ from .precision import DEFAULT_DPS, agree_digits, working
 from .spectrum import counting_check, eigenvalues
 from .sumrules import derive_sum_rules, solved_form
 from .sympoly import ZKind, ZSymbol
-from .zetafns import (KINDS, bohr_sommerfeld_b0, functional_eq_residual,
-                      zeta_values)
+from .zetafns import (KINDS, bohr_sommerfeld_b0, determinant_series,
+                      functional_eq_residual, zeta_values)
 
 # past ~30 digits the Euler-Maclaurin tail, not the eigenvalue accuracy,
 # limits every EM-based check, so higher spectral precision is wasted time
@@ -321,7 +321,6 @@ def _harmonic_checks(digits):
             cf(f"Z2.euler.{m_}", 2, digits),
             cf(f"Z2.twisted.{2 * m_ + 1}", 2, digits), tol))
     # determinants: generating series vs Gamma closed forms on a lambda grid
-    from .zetafns import determinant_series
     # |lambda| reaches 0.6 of the unit radius: 0.6^M must undercut 10^-(p-5)
     M = max(80, int((digits + 8) / mp.log10(mp.mpf(1) / mp.mpf("0.6"))) + 10)
     tolD = mp.mpf(10) ** (-(digits - 12))

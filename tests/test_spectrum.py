@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from osczeta import numerics, spectrum
-from osczeta.errors import CertificationError
+from osczeta import cli, numerics, spectrum
+from osczeta.errors import BracketFailureError, CertificationError
 from osczeta.spectrum import (
     SpectrumRecord,
     counting_check,
@@ -207,8 +207,8 @@ class TestSolverRegression:
         assert [list(e._mpf_) for e in rec.eigenvalues] == SNAPSHOT[key]
 
     def test_shoots_per_eigenvalue(self, monkeypatch):
-        # Newton shoots at rising precision from the prediction (one at
-        # full), 2 certificate shoots; the bracket grid does not run
+        # Newton shoots at rising precision from the prediction, none above
+        # dps, and 2 certificate shoots; the bracket grid does not run
         calls = []
         shoot = spectrum._shoot
 
@@ -220,8 +220,10 @@ class TestSolverRegression:
         eigenvalues(3, "+", 1, 50)
         assert len(calls) <= 9
 
+    # ids without the bound, so that lowering a bound keeps the test's name
     @pytest.mark.parametrize("N,parity,bound", [
-        (3, "+", 75), (3, "-", 74), (6, "+", 69), (6, "-", 66)])
+        pytest.param(N, parity, bound, id=f"{N}{parity}") for N, parity, bound
+        in [(3, "+", 74), (3, "-", 72), (6, "+", 66), (6, "-", 64)]])
     def test_shoots_per_sector(self, monkeypatch, N, parity, bound):
         # every shoot of a 12-level sector at 30 digits, each level started
         # from its own prediction
@@ -240,7 +242,7 @@ class TestSolverRegression:
         # Taylor steps of one 30-digit level: the outward sweep steps
         # min(1, 1/sqrt(E)) up to the turning point, the inward sweep
         # min(1, 10/rate) through the forbidden region, and the ladder
-        # shoots work to their own digits; 56 steps in all
+        # shoots work to their own digits; 55 steps in all
         calls = []
         step = spectrum._taylor_step
 
@@ -250,7 +252,7 @@ class TestSolverRegression:
 
         monkeypatch.setattr(spectrum, "_taylor_step", counting)
         eigenvalues(3, "+", 1, 30)
-        assert len(calls) <= 60
+        assert len(calls) <= 55
 
     def test_sliver_final_outward_step(self, monkeypatch):
         # for N = 2 the long steps 1/sqrt(E) reach qt = sqrt(E) after E of
@@ -275,8 +277,8 @@ class TestSolverRegression:
             assert nodes == count and abs(w) < 1e-15
 
     def test_one_full_precision_newton_shoot_per_level(self, monkeypatch):
-        # per level: one chord shoot at the certificate's dps + 10 digits,
-        # which carries no dpsi/dE, and the two certificate shoots
+        # per level the only shoots at the certificate's dps + 10 digits are
+        # its pair, which carries no dpsi/dE: the ladder stops short of them
         levels = []
         shoot, solve = spectrum._shoot, spectrum._solve_one
 
@@ -294,25 +296,36 @@ class TestSolverRegression:
         assert len(levels) == 4
         for calls in levels:
             full = [slope for dps, slope in calls if dps == 40]
-            assert 2 <= len(full) <= 3 and not any(full)
+            assert len(full) == 2 and not any(full)
 
-    def test_failed_chord_falls_back_to_newton(self, monkeypatch):
-        # a chord shot too early (here after the 14-digit ladder shoot of
-        # level 0 of N = 3 at 20 digits) misses its test; Newton at full
-        # precision goes on from the same point to the same eigenvalue
-        ref = eigenvalues(3, "+", 1, 20)
-        calls = []
-        shoot = spectrum._shoot
+    def test_pair_without_sign_change_takes_its_chord(self, monkeypatch):
+        # a polish that stops 1e-22 off the root, outside the certificate's
+        # half-width 10^-24/4 at 20 digits: the pair shows no sign change,
+        # its chord is the next e, and the second pair certifies the level
+        # with the bits of the unperturbed polish and no grid
+        ref = eigenvalues(4, "-", 1, 20)
+        polish, shoot = spectrum._polish, spectrum._shoot
+        digits = []
+
+        def off_root(N, parity, e, dps, window=None):
+            e = polish(N, parity, e, dps, window)
+            with mp.workdps(40):
+                return e * (1 + mp.mpf("1e-22"))
 
         def counting(N, E, parity, dps, slope=False):
-            calls.append((dps, slope))
+            digits.append(dps)
             return shoot(N, E, parity, dps, slope=slope)
 
-        monkeypatch.setattr(spectrum, "LADDER_EXCESS", 100)
+        def refused(*args):
+            raise AssertionError(f"bracket grid ran for {args[:3]}")
+
+        monkeypatch.setattr(spectrum, "_polish", off_root)
         monkeypatch.setattr(spectrum, "_shoot", counting)
-        rec = eigenvalues(3, "+", 1, 20)
-        assert rec.eigenvalues == ref.eigenvalues
-        assert (30, True) in calls[calls.index((30, False)):]
+        monkeypatch.setattr(spectrum, "_bracket", refused)
+        rec = eigenvalues(4, "-", 1, 20)
+        assert [e._mpf_ for e in rec.eigenvalues] == \
+            [e._mpf_ for e in ref.eigenvalues]
+        assert digits.count(30) == 4
 
     @given(N=st.integers(min_value=2, max_value=48),
            E=st.floats(min_value=0.5, max_value=200),
@@ -479,11 +492,14 @@ class TestSolverRegression:
         assert len(refused) == 2 and all("node count" in m for m in refused)
 
     # the first 12 levels at 30 digits of both parities of N = 2, 3, 6, 10,
-    # and the first 2 of the steep N = 48 '+' at 15 digits
+    # the first 2 of the steep N = 48 '+' at 15 digits, the first 6 of
+    # N = 16 '-' at 15 digits, whose level 5 the 12-digit ladder shoot moves
+    # by 7.4e-10, and the first 4 of N = 48 '-' at 30 digits, where the
+    # Wronskian saturates a little away from each level
     @pytest.mark.parametrize("N,parity,count,dps", [
         pytest.param(*case, id=f"{case[0]}-{case[1]}") for case in
         [(N, p, 12, 30) for N in (2, 3, 6, 10) for p in spectrum.PARITIES]
-        + [(48, "+", 2, 15)]])
+        + [(48, "+", 2, 15), (16, "-", 6, 15), (48, "-", 4, 30)]])
     def test_no_grid_from_the_prediction(self, monkeypatch, N, parity, count,
                                          dps):
         # Newton from each level's own b0 + b1 prediction certifies every
@@ -492,7 +508,21 @@ class TestSolverRegression:
             raise AssertionError(f"bracket grid ran for {args[:3]}")
 
         monkeypatch.setattr(spectrum, "_bracket", refused)
-        assert len(eigenvalues(N, parity, count, dps)) == count
+        rec = eigenvalues(N, parity, count, dps)
+        assert len(rec) == count
+        if (N, dps) == (48, 30):
+            ref = eigenvalues(N, parity, count, 15)
+            assert all(abs(a - b) < 1e-14 * b for a, b in
+                       zip(rec.eigenvalues, ref.eigenvalues))
+
+    @pytest.mark.parametrize("dps", [5, 6, 7])
+    def test_fewer_digits_than_the_first_shoots(self, dps):
+        # below GRID_DPS the ladder's shoots stay at 8 digits, never fewer
+        # than the last: shoots at dps digits could not vouch for the
+        # dps + 7 digits the ladder stops at
+        rec, ref = eigenvalues(3, "+", 2, dps), eigenvalues(3, "+", 2, 15)
+        assert all(abs(a - b) < 10 ** -dps * b for a, b in
+                   zip(rec.eigenvalues, ref.eigenvalues))
 
     def test_ladder_leaving_its_window_is_refused(self):
         # a window that stops short of the level refuses the Newton ladder
@@ -514,18 +544,41 @@ class TestSolverRegression:
         assert len(refused) == 2 and all("node count" in m for m in refused)
 
     def test_unconverged_polish_is_refused(self, monkeypatch):
-        # an eigenvalue off its root fails the sign change, from the start
-        # and again from the grid
-        polish = spectrum._polish
-        windows = []
+        # an eigenvalue 1e-6 off its root fails the sign change, and its
+        # chord moves it by more than 10^-GRID_DPS, so the certificate
+        # refuses it at its first pair, from the start and again from the
+        # grid
+        polish, shoot = spectrum._polish, spectrum._shoot
+        windows, certificate = [], []
 
         def off_root(N, parity, e, dps, window=None):
             windows.append(window)
             e = polish(N, parity, e, dps, window)
             with mp.workdps(40):
-                return e * (1 + mp.mpf("1e-22"))
+                return e * (1 + mp.mpf("1e-6"))
+
+        def counting(N, E, parity, dps, slope=False):
+            if dps == 30:
+                certificate.append(E)
+            return shoot(N, E, parity, dps, slope=slope)
 
         monkeypatch.setattr(spectrum, "_polish", off_root)
+        monkeypatch.setattr(spectrum, "_shoot", counting)
         with pytest.raises(CertificationError, match="sign change"):
             eigenvalues(4, "-", 1, 20)
         assert windows[0] is not None and windows[1:] == [None]
+        assert len(certificate) == 4
+
+    def test_window_without_its_level_raises_bracket_failure(self,
+                                                              monkeypatch):
+        # predictions a hundredth of N = 2's put level 0 (E = 1) far above
+        # its window and the window's widenings, which end below 0.07: the
+        # ladder leaves the window, no grid pair changes sign, and the
+        # spectrum command exits 2
+        predicted = spectrum._predicted_energy
+        monkeypatch.setattr(spectrum, "_predicted_energy",
+                            lambda N, k: predicted(N, k) / 100)
+        with pytest.raises(BracketFailureError, match="no sign change"):
+            eigenvalues(2, "+", 1, 15)
+        assert cli.main(["spectrum", "--N", "2", "--count", "1",
+                         "--digits", "15"]) == 2
