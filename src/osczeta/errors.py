@@ -22,7 +22,8 @@ class TailBoundError(OsczetaError):
 
 
 class BracketFailureError(OsczetaError):
-    """Eigenvalue bracketing failed (domain or precision too small)."""
+    """No inward start for a shoot: the forbidden region past the matching
+    point is too shallow to damp the requested digits."""
 
 
 class CertificationError(OsczetaError):

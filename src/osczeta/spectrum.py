@@ -32,10 +32,9 @@ test: a Wronskian sign change at dps + 10 digits across a relative bracket
 of 10^-(dps+4)/2 around the ladder's last iterate, and a count of
 eigenfunction nodes below it; the eigenvalue is the chord of that pair.  A
 pair without a sign change is the last Newton step: its chord, if close,
-is shot again.  A start that leaves the window
-between the neighbouring predictions or fails falls back to a grid of
-8-digit shoots over that window, shot outward from the prediction, and
-Newton from the secant of the pair that brackets the level.
+is shot again.  That is the whole solver: a start that leaves the window
+between the neighbouring predictions, does not converge or fails the
+certificate raises CertificationError.
 
 For N=1 the odd/even eigenvalues are exactly the negated zeros of Ai / Ai',
 and the solver takes that fast path: `numerics.airy_negative_zeros` marches
@@ -116,7 +115,7 @@ def merged_spectrum(plus: SpectrumRecord, minus: SpectrumRecord):
 
 
 # --------------------------------------------------------------------------
-# Semiclassical prediction grid
+# Semiclassical prediction
 # --------------------------------------------------------------------------
 
 def _b0_float(N: int) -> float:
@@ -279,8 +278,9 @@ def _shoot(N: int, E, parity: str, dps: int, slope: bool = False):
         return w / norm, nodes, step
 
 
-# Decimal digits of the bracket grid shoots and of Newton's first shoots.
-GRID_DPS = 8
+# Decimal digits of Newton's first shoots; a certificate pair's chord is shot
+# again if it moves e by less than 10^-START_DPS.
+START_DPS = 8
 
 # Digits beyond d to which the Newton step of a ladder shoot at d digits is
 # taken to leave the eigenvalue, when _polish decides whether its iterate is
@@ -292,7 +292,7 @@ GRID_DPS = 8
 LADDER_EXCESS = 8
 
 
-def _polish(N: int, parity: str, e, dps: int, window=None):
+def _polish(N: int, parity: str, e, dps: int, window):
     """Newton ladder on the matching Wronskian from the energy e.
 
     A step of relative size 10^-got leaves an error near 10^-2got, so the
@@ -304,15 +304,15 @@ def _polish(N: int, parity: str, e, dps: int, window=None):
     10^-(dps+4)/4; _certified accepts it or not.  A ladder iterate outside
     `window` (lo, hi) and a ladder that does not get there raise
     CertificationError; a start that converges to the wrong level is caught
-    by the certificate in _solve_one."""
+    by the certificate's node count."""
     with working(dps, 15):
         e = mpf(e)
-        digits = GRID_DPS
+        digits = START_DPS
         for _ in range(dps + 60):
             _, _, step = _shoot(N, e, parity, digits, slope=True)
             rel = abs(step / e)
             e += step
-            if window and not window[0] <= e <= window[1]:
+            if not window[0] <= e <= window[1]:
                 raise CertificationError(
                     f"Newton left its window for N={N} parity={parity}")
             got = min(int(-mpmath.log10(rel)) if rel else dps, digits)
@@ -323,60 +323,19 @@ def _polish(N: int, parity: str, e, dps: int, window=None):
         f"Newton polish did not converge for N={N} parity={parity}")
 
 
-def _bracket(N: int, parity: str, j: int, grid):
-    """(i, Wronskians by grid index) for the grid pair (i, i+1) that
-    brackets level j, or None.  The points are shot outward from the centre,
-    the prediction, and the scan stops at the first sign change whose lower
-    end counts j nodes: with one sign change on the grid that is the pair a
-    left-to-right scan finds, after 2-4 shoots instead of 7.  The node test
-    passes over the next level, which a wide low-level window at large N can
-    hold; if no pair passes, the leftmost sign change is returned."""
-    vals, nodes = {}, {}
-
-    def changes(i):
-        return mpmath.sign(vals[i]) != mpmath.sign(vals[i + 1])
-
-    for t in (3, 2, 4, 1, 5, 0, 6):
-        vals[t], nodes[t], _ = _shoot(N, mpf(grid[t]), parity, GRID_DPS)
-        i = t if t < 3 else t - 1
-        if t != 3 and changes(i) and nodes[i] == j:
-            return i, vals
-    i = next((i for i in range(6) if changes(i)), None)
-    return None if i is None else (i, vals)
-
-
 def _solve_one(N: int, parity: str, j: int, dps: int):
     """Locate the j-th eigenvalue of the parity sector and certify it: the
     Wronskian changes sign across e (1 +- 10^-(dps+4)/4) at full precision,
     and the outward solution below it has j nodes.  Newton starts at the
     level's own prediction, inside the window between the predictions of
     its neighbours in the merged spectrum (from a quarter of level 0's at
-    the bottom), which the grid would scan; if it leaves it or fails, the
-    grid brackets the level, and Newton starts again from the secant of the
-    bracket."""
+    the bottom)."""
     kf = 2 * j + (0 if parity == "+" else 1)
     lo = _predicted_energy(N, kf - 1) if kf >= 1 \
         else 0.25 * _predicted_energy(N, 0)
     hi = _predicted_energy(N, kf + 1)
-    try:
-        return _certified(N, parity, j, dps, _polish(
-            N, parity, _predicted_energy(N, kf), dps, (lo, hi)))
-    except CertificationError:
-        pass
-    for attempt in range(3):
-        grid = [lo + (hi - lo) * t / 6.0 for t in range(7)]
-        found = _bracket(N, parity, j, grid)
-        if found:
-            break
-        lo, hi = lo / 1.5, hi * 1.5
-    else:
-        raise BracketFailureError(
-            f"no sign change for N={N} parity={parity} index {j}")
-    i, vals = found
-    with working(dps, 15):
-        wa, wb = vals[i], vals[i + 1]
-        e = (grid[i] * wb - grid[i + 1] * wa) / (wb - wa)
-    return _certified(N, parity, j, dps, _polish(N, parity, e, dps))
+    return _certified(N, parity, j, dps, _polish(
+        N, parity, _predicted_energy(N, kf), dps, (lo, hi)))
 
 
 def _certified(N: int, parity: str, j: int, dps: int, e):
@@ -385,7 +344,7 @@ def _certified(N: int, parity: str, j: int, dps: int, e):
     delta = 10^-(dps+4)/4, and the outward solution at the lower end has j
     nodes.  Returns the chord of that pair, which lies inside it, rounded
     to dps digits.  A pair without a sign change is a Newton step: its
-    chord becomes e, if it moves e by less than 10^-GRID_DPS, and is shot
+    chord becomes e, if it moves e by less than 10^-START_DPS, and is shot
     again, three pairs in all.  Otherwise CertificationError."""
     with working(dps, 15):
         delta = mpf(10) ** (-(dps + 4)) / 4
@@ -396,7 +355,7 @@ def _certified(N: int, parity: str, j: int, dps: int, e):
             chord = (lo * w_hi - hi * w_lo) / (w_hi - w_lo)
             if w_lo * w_hi <= 0:
                 break
-            if pair == 2 or not abs(chord - e) < e * mpf(10) ** -GRID_DPS:
+            if pair == 2 or not abs(chord - e) < e * mpf(10) ** -START_DPS:
                 raise CertificationError(
                     f"no Wronskian sign change around {mpmath.nstr(e, 20)} "
                     f"for N={N} parity={parity}")

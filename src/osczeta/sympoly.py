@@ -16,8 +16,11 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 
+import mpmath
+
 from .cyclo import CycloNumber, rational
 from .errors import InsufficientTermsError
+from .precision import rounded, working
 
 
 class ZKind(enum.Enum):
@@ -264,8 +267,6 @@ class SymPoly:
 
     def eval_numeric(self, values: dict, dps: int = 50):
         """Numeric value given a ZSymbol -> number mapping (mpf/mpc)."""
-        import mpmath
-        from .precision import working, rounded
         with working(dps):
             acc = mpmath.mpc(0)
             for mono, c in self.terms.items():

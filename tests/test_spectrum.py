@@ -143,9 +143,9 @@ class TestSolverConsistency:
     @pytest.mark.parametrize("N", [7, 8, 9, 11, 12, 16])
     @pytest.mark.parametrize("parity", ["+", "-"])
     def test_large_degree_low_levels_in_order(self, N, parity):
-        # at low levels of large N the semiclassical bracket window can hold
-        # two levels; a skipped or repeated level leaves a Bohr-Sommerfeld
-        # residual near 1
+        # at low levels of large N the window between neighbouring
+        # predictions can hold two levels; a skipped or repeated level
+        # leaves a Bohr-Sommerfeld residual near 1
         rec = eigenvalues(N, parity, 3, 15)
         b0 = float(bohr_sommerfeld_b0(N, 20))
         mu = (N + 2) / (2 * N)
@@ -208,7 +208,7 @@ class TestSolverRegression:
 
     def test_shoots_per_eigenvalue(self, monkeypatch):
         # Newton shoots at rising precision from the prediction, none above
-        # dps, and 2 certificate shoots; the bracket grid does not run
+        # dps, and 2 certificate shoots
         calls = []
         shoot = spectrum._shoot
 
@@ -302,12 +302,12 @@ class TestSolverRegression:
         # a polish that stops 1e-22 off the root, outside the certificate's
         # half-width 10^-24/4 at 20 digits: the pair shows no sign change,
         # its chord is the next e, and the second pair certifies the level
-        # with the bits of the unperturbed polish and no grid
+        # with the bits of the unperturbed polish
         ref = eigenvalues(4, "-", 1, 20)
         polish, shoot = spectrum._polish, spectrum._shoot
         digits = []
 
-        def off_root(N, parity, e, dps, window=None):
+        def off_root(N, parity, e, dps, window):
             e = polish(N, parity, e, dps, window)
             with mp.workdps(40):
                 return e * (1 + mp.mpf("1e-22"))
@@ -316,12 +316,8 @@ class TestSolverRegression:
             digits.append(dps)
             return shoot(N, E, parity, dps, slope=slope)
 
-        def refused(*args):
-            raise AssertionError(f"bracket grid ran for {args[:3]}")
-
         monkeypatch.setattr(spectrum, "_polish", off_root)
         monkeypatch.setattr(spectrum, "_shoot", counting)
-        monkeypatch.setattr(spectrum, "_bracket", refused)
         rec = eigenvalues(4, "-", 1, 20)
         assert [e._mpf_ for e in rec.eigenvalues] == \
             [e._mpf_ for e in ref.eigenvalues]
@@ -415,42 +411,24 @@ class TestSolverRegression:
             <= 1e-10 * (1 + 1e-9)
 
     def test_prediction_half_a_level_off(self, monkeypatch):
-        # predictions shifted by about half the sector's level spacing start
-        # Newton between two levels and put each level near an edge of its
-        # window: shifted up, every level of N = 3 '+' lies just above the
-        # window's lower end (pair 0); shifted down by a little less, each
-        # lies just below its upper end (pair 5), and level 0 above the
-        # whole of its first window, which ends at the prediction of index
-        # 0.01 (the level sits at 0.023).  With the start refused, the grid
-        # finds them there, and either way the bits are those of the
-        # unshifted prediction
+        # predictions of N = 3 '+' shifted by a quarter of the merged level
+        # spacing up or by half of it down move each Newton start and its
+        # window, and the ladder still reaches the level inside the window,
+        # with the bits of the unshifted prediction; shifted up by a whole
+        # level, each start sits on the '-' level between two '+' levels,
+        # and the ladder leaves its window
         ref = eigenvalues(3, "+", 4, 20)
-        predicted, polish, bracket = (spectrum._predicted_energy,
-                                      spectrum._polish, spectrum._bracket)
-        pairs = []
-
-        def tracking(*args):
-            found = bracket(*args)
-            pairs.append(found and found[0])
-            return found
-
-        def grid_only(N, parity, e, dps, window=None):
-            if window:
-                raise CertificationError("start refused")
-            return polish(N, parity, e, dps)
-
-        for shift in (1, -0.99):
+        predicted = spectrum._predicted_energy
+        for shift in (0.25, -0.5):
             monkeypatch.setattr(spectrum, "_predicted_energy",
                                 lambda N, k: predicted(N, k + shift))
             rec = eigenvalues(3, "+", 4, 20)
-            assert rec.eigenvalues == ref.eigenvalues
-            with monkeypatch.context() as patch:
-                patch.setattr(spectrum, "_bracket", tracking)
-                patch.setattr(spectrum, "_polish", grid_only)
-                rec = eigenvalues(3, "+", 4, 20)
             assert [list(e._mpf_) for e in rec.eigenvalues] == \
                 [list(e._mpf_) for e in ref.eigenvalues]
-        assert None in pairs and {0, 5} <= set(pairs)
+        monkeypatch.setattr(spectrum, "_predicted_energy",
+                            lambda N, k: predicted(N, k + 1))
+        with pytest.raises(CertificationError, match="left its window"):
+            eigenvalues(3, "+", 4, 20)
 
     @staticmethod
     def _refusals(monkeypatch):
@@ -468,29 +446,6 @@ class TestSolverRegression:
         monkeypatch.setattr(spectrum, "_certified", recording)
         return refused
 
-    def test_start_one_level_up_falls_back_to_grid(self, monkeypatch):
-        # a Newton start and its window moved up one level of the sector
-        # converge on the next eigenvalue; the node count refuses it, and
-        # the grid path gives the snapshot's bits
-        polish, predicted = spectrum._polish, spectrum._predicted_energy
-        starts = []
-
-        def moved(N, parity, e, dps, window=None):
-            if window is None:
-                return polish(N, parity, e, dps)
-            kf = 2 * len(starts) + 1
-            starts.append(e)
-            up = predicted(N, kf + 2) / predicted(N, kf)
-            return polish(N, parity, e * up, dps,
-                          (window[0] * up, window[1] * up))
-
-        refused = self._refusals(monkeypatch)
-        monkeypatch.setattr(spectrum, "_polish", moved)
-        rec = eigenvalues(3, "-", 2, 30)
-        assert [list(e._mpf_) for e in rec.eigenvalues] == SNAPSHOT["3-@30"]
-        assert len(starts) == 2
-        assert len(refused) == 2 and all("node count" in m for m in refused)
-
     # the first 12 levels at 30 digits of both parities of N = 2, 3, 6, 10,
     # the first 2 of the steep N = 48 '+' at 15 digits, the first 6 of
     # N = 16 '-' at 15 digits, whose level 5 the 12-digit ladder shoot moves
@@ -500,14 +455,9 @@ class TestSolverRegression:
         pytest.param(*case, id=f"{case[0]}-{case[1]}") for case in
         [(N, p, 12, 30) for N in (2, 3, 6, 10) for p in spectrum.PARITIES]
         + [(48, "+", 2, 15), (16, "-", 6, 15), (48, "-", 4, 30)]])
-    def test_no_grid_from_the_prediction(self, monkeypatch, N, parity, count,
-                                         dps):
-        # Newton from each level's own b0 + b1 prediction certifies every
-        # level without the bracket grid
-        def refused(*args):
-            raise AssertionError(f"bracket grid ran for {args[:3]}")
-
-        monkeypatch.setattr(spectrum, "_bracket", refused)
+    def test_no_grid_from_the_prediction(self, N, parity, count, dps):
+        # Newton from each level's own b0 + b1 prediction, the only path,
+        # certifies every level
         rec = eigenvalues(N, parity, count, dps)
         assert len(rec) == count
         if (N, dps) == (48, 30):
@@ -517,7 +467,7 @@ class TestSolverRegression:
 
     @pytest.mark.parametrize("dps", [5, 6, 7])
     def test_fewer_digits_than_the_first_shoots(self, dps):
-        # below GRID_DPS the ladder's shoots stay at 8 digits, never fewer
+        # below START_DPS the ladder's shoots stay at 8 digits, never fewer
         # than the last: shoots at dps digits could not vouch for the
         # dps + 7 digits the ladder stops at
         rec, ref = eigenvalues(3, "+", 2, dps), eigenvalues(3, "+", 2, 15)
@@ -533,25 +483,23 @@ class TestSolverRegression:
 
     def test_polish_from_wrong_level_is_refused(self, monkeypatch):
         # a prediction one level up starts Newton at the next eigenvalue of
-        # the sector, which has one node too many; so does the grid the
-        # same prediction places, and the level is refused
+        # the sector, which has one node too many, and the level is refused
         refused = self._refusals(monkeypatch)
         predicted = spectrum._predicted_energy
         monkeypatch.setattr(spectrum, "_predicted_energy",
                             lambda N, k: predicted(N, k + 2))
         with pytest.raises(CertificationError, match="node count"):
             eigenvalues(3, "-", 1, 20)
-        assert len(refused) == 2 and all("node count" in m for m in refused)
+        assert len(refused) == 1 and "node count" in refused[0]
 
     def test_unconverged_polish_is_refused(self, monkeypatch):
         # an eigenvalue 1e-6 off its root fails the sign change, and its
-        # chord moves it by more than 10^-GRID_DPS, so the certificate
-        # refuses it at its first pair, from the start and again from the
-        # grid
+        # chord moves it by more than 10^-START_DPS, so the certificate
+        # refuses it at its first pair
         polish, shoot = spectrum._polish, spectrum._shoot
         windows, certificate = [], []
 
-        def off_root(N, parity, e, dps, window=None):
+        def off_root(N, parity, e, dps, window):
             windows.append(window)
             e = polish(N, parity, e, dps, window)
             with mp.workdps(40):
@@ -566,19 +514,24 @@ class TestSolverRegression:
         monkeypatch.setattr(spectrum, "_shoot", counting)
         with pytest.raises(CertificationError, match="sign change"):
             eigenvalues(4, "-", 1, 20)
-        assert windows[0] is not None and windows[1:] == [None]
-        assert len(certificate) == 4
+        assert len(windows) == 1 and windows[0] is not None
+        assert len(certificate) == 2
 
-    def test_window_without_its_level_raises_bracket_failure(self,
-                                                              monkeypatch):
+    def test_window_without_its_level_is_refused(self, monkeypatch):
         # predictions a hundredth of N = 2's put level 0 (E = 1) far above
-        # its window and the window's widenings, which end below 0.07: the
-        # ladder leaves the window, no grid pair changes sign, and the
-        # spectrum command exits 2
+        # its window, which ends near 0.03: the ladder leaves the window,
+        # and the spectrum command exits 2
         predicted = spectrum._predicted_energy
         monkeypatch.setattr(spectrum, "_predicted_energy",
                             lambda N, k: predicted(N, k) / 100)
-        with pytest.raises(BracketFailureError, match="no sign change"):
+        with pytest.raises(CertificationError, match="left its window"):
             eigenvalues(2, "+", 1, 15)
         assert cli.main(["spectrum", "--N", "2", "--count", "1",
                          "--digits", "15"]) == 2
+
+    def test_shallow_forbidden_region_raises_bracket_failure(self):
+        # an inward start 10^9 decades deep is out of reach within 10^4 of
+        # the matching point
+        with pytest.raises(BracketFailureError,
+                           match="forbidden region too shallow"):
+            spectrum._choose_qmax(2, 1.0, 1.2, 10 ** 9)
